@@ -76,6 +76,7 @@ class Algebra:
             by_name[name] = g
         self.generators = tuple(gens)
         self.by_name = by_name
+        self._bases = {}  # (degree, parity) -> sorted monomial basis
 
     @property
     def has_degree_zero_generator(self):
@@ -125,7 +126,8 @@ class Algebra:
     def monomial_basis(self, degree, parity=None):
         """All canonical monomials of the given degree (and parity, if not None).
 
-        Returns them sorted by the deterministic monomial order.  Requires
+        Returns them sorted by the deterministic monomial order, as a fresh
+        list (each graded piece is enumerated once per algebra).  Requires
         every generator to have degree >= 1, otherwise the graded piece
         would be infinite-dimensional.
         """
@@ -135,6 +137,9 @@ class Algebra:
             raise AlgebraError("monomial basis undefined: algebra has a degree-0 generator")
         if parity is not None:
             parity = parity_from_name(parity)
+        key = (degree, parity)
+        if key in self._bases:
+            return list(self._bases[key])
         out = []
         n = len(self.generators)
 
@@ -157,7 +162,8 @@ class Algebra:
 
         rec(0, degree, EVEN, [])
         out.sort(key=self.monomial_key)
-        return out
+        self._bases[key] = out
+        return list(out)
 
     def format_monomial(self, mono):
         if not mono:

@@ -144,8 +144,14 @@ def load_algebra_text(text, *, verify=True) -> AlgebraFile:
 
 
 def load_algebra_file(path, *, verify=True) -> AlgebraFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_algebra_text(fh.read(), verify=verify)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line_no = data.count(b"\n", 0, err.start) + 1
+        raise FileFormatError("file is not valid UTF-8", line_no) from err
+    return load_algebra_text(text, verify=verify)
 
 
 def dump_presentation(pres, elements=None) -> str:
@@ -167,26 +173,29 @@ class Report:
 
     def __init__(self, command):
         self.command = command
-        self.checks = []
+        self.checks = []  # (name, ok, detail)
         self.info = []
         self.started = time.monotonic()
 
     def add(self, name, ok, detail=""):
-        self.checks.append({"check": name, "ok": bool(ok), "detail": detail})
+        self.checks.append((name, bool(ok), detail))
 
     def note(self, text):
         self.info.append(text)
 
     @property
     def passed(self):
-        return all(c["ok"] for c in self.checks)
+        return all(ok for _, ok, _ in self.checks)
 
     def render(self, as_json=False, timings=False):
         elapsed = time.monotonic() - self.started
         if as_json:
             payload = {
                 "command": self.command,
-                "checks": self.checks,
+                "checks": [
+                    {"check": name, "ok": ok, "detail": detail}
+                    for name, ok, detail in self.checks
+                ],
                 "info": self.info,
                 "passed": self.passed,
             }
@@ -195,14 +204,17 @@ class Report:
             return json.dumps(payload, indent=2)
         lines = [f"command: {self.command}"]
         lines += self.info
-        for c in self.checks:
-            line = f"{'PASS' if c['ok'] else 'FAIL'}  {c['check']}"
-            if c["detail"]:
-                line += f"  ({c['detail']})"
+        for name, ok, detail in self.checks:
+            line = f"{'PASS' if ok else 'FAIL'}  {name}"
+            if detail:
+                line += f"  ({detail})"
             lines.append(line)
         if timings:
             lines.append(f"elapsed: {elapsed:.3f}s")
         return "\n".join(lines)
+
+    def __str__(self):
+        return self.render()
 
 
 def _finish(report, args):
@@ -303,13 +315,10 @@ def cmd_tduality(args):
 def cmd_superminkowski(args):
     from . import superminkowski as smk
 
-    report = Report(f"superminkowski {args.action}")
     if args.action == "verify":
-        rep = smk.verify_report()
+        report = smk.verify_report()
     else:
-        rep = smk.hori_pipeline(seed=args.seed, samples=args.samples, window=args.window)
-    for name, ok, detail in rep.checks:
-        report.add(name, ok, detail)
+        report = smk.hori_pipeline(seed=args.seed, samples=args.samples, window=args.window)
     return _finish(report, args)
 
 

@@ -15,7 +15,7 @@ verified on demand, with the result cached.
 from __future__ import annotations
 
 from .algebra import Algebra, Element, mul_monomials
-from .linalg import kernel_basis, reduce_against, row_reduce
+from .linalg import kernel_basis, kernel_mod_image
 from .parsing import parse_element
 
 
@@ -307,25 +307,18 @@ def cohomology(pres, max_degree) -> CohomologyReport:
     bases = [alg.monomial_basis(d) for d in range(max_degree + 2)]
     dims = []
     reps = []
-    image_red, image_pivots = [], []
+    incoming = []
     for d in range(max_degree + 1):
         basis = bases[d]
         n = len(basis)
         matrix = _differential_matrix(pres, basis, bases[d + 1])
-        kernel = kernel_basis(matrix, field, n)
-        reduced = [reduce_against(v, image_red, image_pivots) for v in kernel]
-        rref_rows, pivots = row_reduce(reduced, field, n)
+        rref_rows, pivots = kernel_mod_image(matrix, incoming, field, n)
         dims.append(len(pivots))
         reps.append([
             Element.from_terms(alg, [(basis[c], row[c]) for c in range(n)])
             for row in rref_rows
         ])
-        # image of this degree's differential, for the next step
-        cols = []
-        for j in range(n):
-            vec = [matrix[i][j] for i in range(len(bases[d + 1]))]
-            cols.append(vec)
-        image_red, image_pivots = row_reduce(cols, field, len(bases[d + 1]))
+        incoming = matrix
     return CohomologyReport(pres, max_degree, dims, reps)
 
 

@@ -90,6 +90,19 @@ def reduce_against(vector, red_rows, pivots):
     return v
 
 
+def kernel_mod_image(m_out, m_in, field, n):
+    """ker(m_out) modulo the column space of m_in, both maps touching F^n.
+
+    m_out has n columns and m_in has n rows.  Returns (rref_rows, pivots):
+    the reduced kernel vectors in RREF, one row per basis class of the
+    quotient.
+    """
+    kernel = kernel_basis(m_out, field, n)
+    image_red, image_pivots = row_reduce(list(zip(*m_in)), field, n)
+    reduced = [reduce_against(v, image_red, image_pivots) for v in kernel]
+    return row_reduce(reduced, field, n)
+
+
 def independent_subset(vectors, field, ncols):
     """Indices of a deterministic maximal independent subset, plus its RREF."""
     red = []

@@ -26,20 +26,22 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from .algebra import Algebra, Element
+from .cli import Report
 from .constructions import central_extension
 from .dgca import Presentation
-from .fields import QI, GaussianRational
+from .fields import QI
 from .tduality import derive_quintuple, validate_config
 from .twisted import TwistedCochain, fm_inverse, fm_transform
 
-_I2 = np.array([[1, 0], [0, 1]], dtype=object)
-_SIGMA = np.array([[0, 1], [1, 0]], dtype=object)
-_TAU = np.array([[1, 0], [0, -1]], dtype=object)
-_EPS = np.array([[0, -1], [1, 0]], dtype=object)
-_LETTERS = {"1": _I2, "s": _SIGMA, "t": _TAU, "e": _EPS}
+# Matrices are sparse dicts {(row, col): nonzero entry}; every one used here
+# is a signed permutation, scaled by i in the case of G10.
+_LETTERS = {
+    "1": {(0, 0): 1, (1, 1): 1},
+    "s": {(0, 1): 1, (1, 0): 1},
+    "t": {(0, 0): 1, (1, 1): -1},
+    "e": {(0, 1): -1, (1, 0): 1},
+}
 
 
 class CliffordError(RuntimeError):
@@ -47,9 +49,14 @@ class CliffordError(RuntimeError):
 
 
 def _word_matrix(word):
-    m = _LETTERS[word[0]]
-    for ch in word[1:]:
-        m = np.kron(m, _LETTERS[ch])
+    """Kronecker product of the 2x2 letters of the word, left to right."""
+    m = {(0, 0): 1}
+    for ch in word:
+        m = {
+            (2 * i + k, 2 * j + l): a * b
+            for (i, j), a in m.items()
+            for (k, l), b in _LETTERS[ch].items()
+        }
     return m
 
 
@@ -103,40 +110,37 @@ def _search_word_family(squares):
     return None, "exhaustive tensor-word search found no family"
 
 
+def _eye(n):
+    return {(i, i): 1 for i in range(n)}
+
+
+def _scale(m, c):
+    return {key: c * v for key, v in m.items()}
+
+
 def _block(a, b, c, d):
-    return np.block([[a, b], [c, d]])
+    """The 32x32 matrix [[a, b], [c, d]] of four 16x16 blocks."""
+    return {
+        (i + r, j + s): v
+        for m, r, s in ((a, 0, 0), (b, 0, 16), (c, 16, 0), (d, 16, 16))
+        for (i, j), v in m.items()
+    }
 
 
 def _matmul(A, B):
-    """Sparsity-aware exact product of object matrices.
-
-    The gamma words and charge conjugation matrices are signed permutations,
-    so skipping zero entries beats dense object-dtype matmul by ~32x."""
-    n, k = A.shape
-    k2, m = B.shape
-    out = np.zeros((n, m), dtype=object)
-    b_rows = [[(j, B[l, j]) for j in range(m) if B[l, j]] for l in range(k)]
-    for i in range(n):
-        row = A[i]
-        for l in range(k):
-            a = row[l]
-            if a:
-                for j, b in b_rows[l]:
-                    out[i, j] = out[i, j] + a * b
-    return out
+    """Exact product, walking the nonzero entries only."""
+    b_rows = {}
+    for (l, j), b in B.items():
+        b_rows.setdefault(l, []).append((j, b))
+    out = {}
+    for (i, l), a in A.items():
+        for j, b in b_rows.get(l, ()):
+            out[i, j] = out.get((i, j), 0) + a * b
+    return {key: v for key, v in out.items() if v}
 
 
 def _is_symmetric(m):
-    n = m.shape[0]
-    return all(m[i, j] == m[j, i] for i in range(n) for j in range(i + 1, n))
-
-
-def _to_gaussian(m):
-    out = np.empty(m.shape, dtype=object)
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            out[i, j] = QI.coerce(m[i, j]) if not isinstance(m[i, j], GaussianRational) else m[i, j]
-    return out
+    return all(m.get((j, i), 0) == v for (i, j), v in m.items())
 
 
 class GammaData:
@@ -165,20 +169,24 @@ class GammaData:
         self.report = report
 
     def gamma_upper(self, a):
-        return self.gamma[a] * self.eta[a]
+        return _scale(self.gamma[a], self.eta[a])
 
     def Gamma_lower(self, a):
         """Index lowered with the spacetime metric (not the Clifford signature)."""
-        return self.Gamma[a] * self.lowering_eta[a]
+        return _scale(self.Gamma[a], self.lowering_eta[a])
 
 
 def _verify_clifford(gamma, eta):
-    ident = np.eye(16, dtype=object)
+    """gamma_a gamma_b + gamma_b gamma_a = 2 eta_ab I, checked as
+    gamma_a^2 = eta_a I and gamma_a gamma_b = -gamma_b gamma_a for a != b."""
     for a in range(9):
         for b in range(a, 9):
-            anti = _matmul(gamma[a], gamma[b]) + _matmul(gamma[b], gamma[a])
-            expected = (2 * eta[a] if a == b else 0) * ident
-            if not np.array_equal(anti, expected):
+            ab = _matmul(gamma[a], gamma[b])
+            if a == b:
+                ok = ab == _scale(_eye(16), eta[a])
+            else:
+                ok = ab == _scale(_matmul(gamma[b], gamma[a]), -1)
+            if not ok:
                 raise CliffordError(f"anticommutator relation fails at pair ({a}, {b})")
 
 
@@ -188,8 +196,6 @@ def build_gamma() -> GammaData:
     Every invariant failure aborts with the failed relation; the chosen
     conventions are recorded in the report."""
     report = []
-    z16 = np.zeros((16, 16), dtype=object)
-    i16 = np.eye(16, dtype=object)
 
     words = None
     eta = None
@@ -210,29 +216,28 @@ def build_gamma() -> GammaData:
     gamma = [_word_matrix(w) for w in words]
     _verify_clifford(gamma, eta)
 
-    Gamma = [_block(z16, gamma[a] * eta[a], gamma[a] * eta[a], z16) for a in range(9)]
-    G9A = _block(z16, i16, -i16, z16)
-    G9B = _block(z16, i16, i16, z16)
+    Gamma = [_block({}, _scale(g, e), _scale(g, e), {}) for g, e in zip(gamma, eta)]
+    i16, minus_i16 = _eye(16), _scale(_eye(16), -1)
+    G9A = _block({}, i16, minus_i16, {})
+    G9B = _block({}, i16, i16, {})
     imag = QI.imaginary_unit()
-    G10 = _to_gaussian(_block(i16, z16, z16, -i16)) * imag
+    G10 = _scale(_block(i16, {}, {}, minus_i16), imag)
 
     # G9B = i * G9A * G10, by construction of the blocks; verified, not assumed
-    lhs = _matmul(_to_gaussian(G9A), G10) * imag
-    if not np.array_equal(lhs, _to_gaussian(G9B)):
+    if _scale(_matmul(G9A, G10), imag) != G9B:
         raise CliffordError("identity G9B = i * G9A * G10 fails")
 
     g0 = gamma[0]
+    minus_g0 = _scale(g0, -1)
     candidates = [
-        ("off-diagonal [[0, g0], [g0, 0]]", _block(z16, g0, g0, z16)),
-        ("off-diagonal [[0, g0], [-g0, 0]]", _block(z16, g0, -g0, z16)),
-        ("diagonal [[g0, 0], [0, g0]]", _block(g0, z16, z16, g0)),
-        ("diagonal [[g0, 0], [0, -g0]]", _block(g0, z16, z16, -g0)),
+        ("off-diagonal [[0, g0], [g0, 0]]", _block({}, g0, g0, {})),
+        ("off-diagonal [[0, g0], [-g0, 0]]", _block({}, g0, minus_g0, {})),
+        ("diagonal [[g0, 0], [0, g0]]", _block(g0, {}, {}, g0)),
+        ("diagonal [[g0, 0], [0, -g0]]", _block(g0, {}, {}, minus_g0)),
     ]
     C = None
     for label, cand in candidates:
-        ok = all(_is_symmetric(_matmul(cand, G)) for G in Gamma)
-        ok = ok and _is_symmetric(_matmul(cand, G9A)) and _is_symmetric(_matmul(cand, G9B))
-        if ok:
+        if all(_is_symmetric(_matmul(cand, G)) for G in [*Gamma, G9A, G9B]):
             C = cand
             report.append(f"charge conjugation: {label} (all bilinear matrices symmetric)")
             break
@@ -268,12 +273,12 @@ def bilinear(gd: GammaData, algebra, M, scale=1) -> Element:
     Only the symmetric part of C M survives because the psi generators
     commute; an antisymmetric C M gives zero."""
     scale = QI.coerce(scale)
-    CM = _to_gaussian(_matmul(gd.C, M))
+    CM = _matmul(gd.C, M)
     psi_ids = [algebra.generator(f"psi{k}").id for k in range(1, 33)]
     items = []
     for a in range(32):
         for b in range(a, 32):
-            coeff = CM[a, b] + CM[b, a] if a != b else CM[a, a]
+            coeff = CM.get((a, b), 0) + CM.get((b, a), 0) if a != b else CM.get((a, a), 0)
             coeff = scale * QI.coerce(coeff)
             if not coeff:
                 continue
@@ -285,10 +290,9 @@ def bilinear(gd: GammaData, algebra, M, scale=1) -> Element:
 
 def bilinear_symmetry(gd: GammaData, M) -> str:
     CM = _matmul(gd.C, M)
-    if _is_symmetric(_to_gaussian(CM)):
+    if _is_symmetric(CM):
         return "symmetric"
-    n = CM.shape[0]
-    anti = all(QI.coerce(CM[i, j]) == -QI.coerce(CM[j, i]) for i in range(n) for j in range(i, n))
+    anti = all(CM.get((j, i), 0) == -v for (i, j), v in CM.items())
     return "antisymmetric" if anti else "mixed"
 
 
@@ -392,53 +396,17 @@ def mu_f1(sm: SuperMinkowski) -> StringCocycles:
     return StringCocycles(mu81, muA, muB)
 
 
-class HoriReport:
-    """Stable-ordered pass/fail lines for the end-to-end verification."""
-
-    def __init__(self):
-        self.checks = []
-
-    def add(self, name, ok, detail=""):
-        self.checks.append((name, bool(ok), detail))
-
-    @property
-    def passed(self):
-        return all(ok for _, ok, _ in self.checks)
-
-    def lines(self):
-        out = []
-        for name, ok, detail in self.checks:
-            line = f"{'PASS' if ok else 'FAIL'}  {name}"
-            if detail:
-                line += f"  ({detail})"
-            out.append(line)
-        return out
-
-    def __str__(self):
-        return "\n".join(self.lines())
-
-
-def _random_monomial(rng, algebra, degree, cache):
-    if degree not in cache:
-        cache[degree] = algebra.monomial_basis(degree, 0)
-    basis = cache[degree]
-    return rng.choice(basis) if basis else None
-
-
 def random_twisted_cochain(rng, presentation, total_degree, window, max_terms=3):
     """A sparse random even cochain with component degrees within the window."""
     comps = {}
-    cache = getattr(presentation, "_basis_cache", None)
-    if cache is None:
-        cache = {}
-        presentation._basis_cache = cache
     m_min = -((window - total_degree) // 2)
     m_max = total_degree // 2
     for _ in range(max_terms):
         m = rng.randint(m_min, m_max)
-        mono = _random_monomial(rng, presentation.algebra, total_degree - 2 * m, cache)
-        if mono is None:
+        basis = presentation.algebra.monomial_basis(total_degree - 2 * m, 0)
+        if not basis:
             continue
+        mono = rng.choice(basis)
         coeff = QI.coerce(rng.randint(-4, 4))
         if not coeff:
             continue
@@ -448,7 +416,7 @@ def random_twisted_cochain(rng, presentation, total_degree, window, max_terms=3)
     return TwistedCochain(presentation, total_degree, comps)
 
 
-def hori_pipeline(seed=20140901, samples=50, window=3) -> HoriReport:
+def hori_pipeline(seed=20140901, samples=50, window=3) -> Report:
     """Build everything, derive the quintuple, and verify the exchange.
 
     Asserts that the derived twists are exactly the two string cocycles,
@@ -458,7 +426,7 @@ def hori_pipeline(seed=20140901, samples=50, window=3) -> HoriReport:
 
     from .algebra import transport
 
-    report = HoriReport()
+    report = Report("superminkowski hori")
     sm = build_superminkowski()
     for line in sm.gamma_data.report:
         report.add(f"convention: {line}", True)
@@ -500,9 +468,9 @@ def hori_pipeline(seed=20140901, samples=50, window=3) -> HoriReport:
     return report
 
 
-def verify_report() -> HoriReport:
+def verify_report() -> Report:
     """The matrix-level invariant checklist (no presentations needed)."""
-    report = HoriReport()
+    report = Report("superminkowski verify")
     gd = build_gamma()
     for line in gd.report:
         report.add(f"convention: {line}", True)
@@ -511,23 +479,16 @@ def verify_report() -> HoriReport:
         report.add("45 anticommutator relations", True)
     except CliffordError as err:
         report.add("45 anticommutator relations", False, str(err))
-    z16 = np.zeros((16, 16), dtype=object)
-    i16 = np.eye(16, dtype=object)
+    i16, minus_i16 = _eye(16), _scale(_eye(16), -1)
     block_ok = all(
-        np.array_equal(gd.Gamma[a], _block(z16, gd.gamma_upper(a), gd.gamma_upper(a), z16))
-        for a in range(9)
+        gd.Gamma[a] == _block({}, gd.gamma_upper(a), gd.gamma_upper(a), {}) for a in range(9)
     )
-    block_ok = block_ok and np.array_equal(gd.G9A, _block(z16, i16, -i16, z16))
-    block_ok = block_ok and np.array_equal(gd.G9B, _block(z16, i16, i16, z16))
+    block_ok = block_ok and gd.G9A == _block({}, i16, minus_i16, {})
+    block_ok = block_ok and gd.G9B == _block({}, i16, i16, {})
     imag = QI.imaginary_unit()
-    block_ok = block_ok and np.array_equal(
-        gd.G10, _to_gaussian(_block(i16, z16, z16, -i16)) * imag
-    )
+    block_ok = block_ok and gd.G10 == _scale(_block(i16, {}, {}, minus_i16), imag)
     report.add("block forms of Gamma^a, G9A, G9B, G10", block_ok)
-    lhs = _matmul(_to_gaussian(gd.G9A), gd.G10) * imag
-    report.add("G9B = i * G9A * G10", np.array_equal(lhs, _to_gaussian(gd.G9B)))
-    sym_ok = all(_is_symmetric(_to_gaussian(_matmul(gd.C, G))) for G in gd.Gamma)
-    sym_ok = sym_ok and _is_symmetric(_to_gaussian(_matmul(gd.C, gd.G9A)))
-    sym_ok = sym_ok and _is_symmetric(_to_gaussian(_matmul(gd.C, gd.G9B)))
+    report.add("G9B = i * G9A * G10", _scale(_matmul(gd.G9A, gd.G10), imag) == gd.G9B)
+    sym_ok = all(_is_symmetric(_matmul(gd.C, G)) for G in [*gd.Gamma, gd.G9A, gd.G9B])
     report.add("bilinear coefficient matrices symmetric", sym_ok)
     return report

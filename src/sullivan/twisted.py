@@ -27,7 +27,7 @@ from .constructions import (
     strip_generator,
 )
 from .dgca import Morphism, Presentation
-from .linalg import kernel_basis, reduce_against, row_reduce
+from .linalg import kernel_mod_image
 
 
 class TwistError(ValueError):
@@ -548,15 +548,7 @@ def twisted_cohomology(twist: TwistSpec, parity_class, window) -> TwistedCohomol
                         rows[i][j] = c
         return rows
 
-    m_out = matrix(k)
-    m_in = matrix(k - 1)
-    kernel = kernel_basis(m_out, field, len(bases[k]))
-    cols = []
-    for j in range(len(bases[k - 1])):
-        cols.append([m_in[i][j] for i in range(len(bases[k]))])
-    image_red, image_pivots = row_reduce(cols, field, len(bases[k]))
-    reduced = [reduce_against(v, image_red, image_pivots) for v in kernel]
-    rref_rows, pivots = row_reduce(reduced, field, len(bases[k]))
+    rref_rows, pivots = kernel_mod_image(matrix(k), matrix(k - 1), field, len(bases[k]))
     reps = []
     for row in rref_rows:
         comps = {}

@@ -95,6 +95,15 @@ def test_exit_codes(tmp_path):
     assert run_cli(["cohomology", str(unsound), "--max-degree", "3"]).returncode == 2
 
 
+def test_non_utf8_file_exits_two_with_line(tmp_path):
+    f = tmp_path / "bytes.alg"
+    f.write_bytes(b"field Q\ngen x\xff2 2 even\n")
+    r = run_cli(["check", str(f)])
+    assert r.returncode == 2
+    assert "line 2" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_cohomology_command(tmp_path):
     f = tmp_path / "ls4.alg"
     f.write_text(LS4)
