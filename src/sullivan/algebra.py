@@ -10,9 +10,15 @@ type when degree(g) + parity(g) is odd (then g*g = 0), of polynomial type
 otherwise.
 
 Monomials are stored canonically as tuples of (generator id, exponent) pairs
-sorted by id; the Koszul sign produced while sorting is the single
-authoritative implementation of the sign rule.  Elements are finite sparse
-sums of monomials with exact field coefficients.
+sorted by id.  The sign rules live here and nowhere else: `mul_monomials`
+computes the Koszul sign produced while sorting, `relabel` moves elements
+between algebras through it, and `extend_derivation` applies the Leibniz
+rule
+
+    D(x*y) = D(x)*y + (-1)^|x| x*D(y)
+
+of an odd-degree derivation such as the differential or the loop shift.
+Elements are finite sparse sums of monomials with exact field coefficients.
 """
 
 from __future__ import annotations
@@ -392,31 +398,86 @@ class Element:
         return f"<Element {self}>"
 
 
-def transport(element, target_algebra):
-    """Re-express an element in another algebra, matching generators by name.
+def relabel(element, target_algebra, id_map):
+    """Move an element into another algebra through a map of generator ids.
 
-    Used to compare elements built over two independently constructed copies
-    of the same presentation.  Each generator used by the element must exist
-    in the target with the same (degree, parity); the target's generator
-    order may differ, in which case the Koszul signs of re-sorting are
-    accounted for.
+    id_map sends every generator id the element uses to a target generator
+    id of the same bidegree.  Each monomial is rebuilt with `mul_monomials`,
+    so a change of relative generator order picks up its Koszul sign.
     """
-    src = element.algebra
-    if target_algebra is src:
-        return element
+    field = target_algebra.field
     items = []
     for mono, coeff in element.terms.items():
         sign = 1
         new = ()
-        for i, e in mono:
-            g = src.generators[i]
+        for gid, exp in mono:
+            s, new = mul_monomials(target_algebra, new, ((id_map[gid], exp),))
+            if s == 0:
+                raise AlgebraError("relabel produced a vanishing monomial")
+            sign *= s
+        c = field.coerce(coeff)
+        items.append((new, c if sign > 0 else -c))
+    return Element.from_terms(target_algebra, items)
+
+
+def transport(element, target_algebra):
+    """Re-express an element in another algebra, matching generators by name.
+
+    Used to compare elements built over two independently constructed copies
+    of the same presentation, and to move elements between a presentation
+    and its extensions.  Each generator used by the element must exist in the
+    target with the same (degree, parity); the target's generator order may
+    differ.
+    """
+    src = element.algebra
+    if target_algebra is src:
+        return element
+    id_map = {}
+    for mono in element.terms:
+        for gid, _ in mono:
+            if gid in id_map:
+                continue
+            g = src.generators[gid]
             h = target_algebra.generator(g.name)
             if (h.degree, h.parity) != (g.degree, g.parity):
                 raise AlgebraError(f"generator {g.name!r} has different bidegree in target")
-            s, new = mul_monomials(target_algebra, new, ((h.id, e),))
-            if s == 0:
-                raise AlgebraError("transport produced a vanishing monomial")
-            sign *= s
-        c = target_algebra.field.coerce(coeff)
-        items.append((new, c if sign > 0 else -c))
-    return Element.from_terms(target_algebra, items)
+            id_map[gid] = h.id
+    return relabel(element, target_algebra, id_map)
+
+
+def extend_derivation(algebra, images, element):
+    """Leibniz extension of an odd-degree derivation given on generators.
+
+    images maps generator id -> Element, the derivation's value on that
+    generator; generators without an entry map to zero.  Each factor g^exp
+    contributes exp terms, the j-th with sign (-1)^(degree of everything to
+    its left) and g^j * D(g) * g^(exp-j-1) in its place.
+    """
+    acc = {}
+    for mono, coeff in element.terms.items():
+        prefix_degree = 0
+        for pos, (gid, exp) in enumerate(mono):
+            dgen = images.get(gid)
+            gen = algebra.generators[gid]
+            if dgen is not None:
+                for j in range(exp):
+                    left = mono[:pos] + (((gid, j),) if j else ())
+                    right = (((gid, exp - j - 1),) if exp - j - 1 else ()) + mono[pos + 1 :]
+                    sign = (prefix_degree + j * gen.degree) % 2
+                    for m2, c2 in dgen.terms.items():
+                        s1, m12 = mul_monomials(algebra, left, m2)
+                        if s1 == 0:
+                            continue
+                        if right:
+                            s2, m_all = mul_monomials(algebra, m12, right)
+                            if s2 == 0:
+                                continue
+                        else:
+                            s2, m_all = 1, m12
+                        c = coeff * c2
+                        if (sign == 1) ^ (s1 < 0) ^ (s2 < 0):
+                            c = -c
+                        prev = acc.get(m_all)
+                        acc[m_all] = c if prev is None else prev + c
+            prefix_degree += exp * gen.degree
+    return Element(algebra, {m: c for m, c in acc.items() if c})

@@ -18,15 +18,14 @@ stability).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
 
-from .algebra import PARITY_NAMES, AlgebraError
+from .algebra import PARITY_NAMES, Algebra, AlgebraError
 from .constructions import ConstructionError, central_extension, cyclify
 from .dgca import Presentation, PresentationError, cohomology
 from .fields import FIELDS
 from .parsing import ParseError, parse_element
+from .report import Report
 from .tduality import (
     LIBRARY,
     ConfigError,
@@ -41,8 +40,11 @@ DEFAULT_SEED = 20140901
 
 class FileFormatError(ValueError):
     def __init__(self, message, line_no, column=None):
-        place = f"line {line_no}" + (f", column {column}" if column is not None else "")
-        super().__init__(f"{message} ({place})")
+        # line_no None: the error has no place in a file
+        if line_no is not None:
+            place = f"line {line_no}" + (f", column {column}" if column is not None else "")
+            message = f"{message} ({place})"
+        super().__init__(message)
         self.line_no = line_no
         self.column = column
 
@@ -63,14 +65,15 @@ class AlgebraFile:
             return parse_element(label, self.presentation.algebra)
         except ParseError as err:
             raise FileFormatError(
-                f"unknown label and unparsable expression {label!r}: {err}", 0
+                f"unknown label and unparsable expression {label!r}: {err}", None
             ) from err
 
 
 def load_algebra_text(text, *, verify=True) -> AlgebraFile:
     field_tag = None
     gen_specs = []
-    d_lines = []
+    gen_lines = {}  # name -> line of its gen directive
+    d_lines = {}  # name -> (line, expression)
     let_lines = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -93,12 +96,21 @@ def load_algebra_text(text, *, verify=True) -> AlgebraFile:
                 raise FileFormatError(f"bad degree {degree_text!r}", line_no)
             if parity not in ("even", "odd"):
                 raise FileFormatError(f"bad parity {parity!r}", line_no)
+            if name in gen_lines:
+                raise FileFormatError(
+                    f"duplicate generator name {name!r} (first on line {gen_lines[name]})", line_no
+                )
+            gen_lines[name] = line_no
             gen_specs.append((name, int(degree_text), parity))
         elif directive == "d":
             if "=" not in rest:
                 raise FileFormatError("expected: d <name> = <expression>", line_no)
             name, expr = (s.strip() for s in rest.split("=", 1))
-            d_lines.append((line_no, name, expr))
+            if name in d_lines:
+                raise FileFormatError(
+                    f"repeated d {name} (first on line {d_lines[name][0]})", line_no
+                )
+            d_lines[name] = (line_no, expr)
         elif directive == "let":
             if "=" not in rest:
                 raise FileFormatError("expected: let <label> = <expression>", line_no)
@@ -108,15 +120,9 @@ def load_algebra_text(text, *, verify=True) -> AlgebraFile:
             raise FileFormatError(f"unknown directive {directive!r}", line_no)
     if field_tag is None:
         field_tag = "Q"
-    field = FIELDS[field_tag]
-    try:
-        from .algebra import Algebra
-
-        algebra = Algebra(gen_specs, field)
-    except AlgebraError as err:
-        raise FileFormatError(str(err), 0) from err
+    algebra = Algebra(gen_specs, FIELDS[field_tag])
     diffs = {}
-    for line_no, name, expr in d_lines:
+    for name, (line_no, expr) in d_lines.items():
         if name not in algebra.by_name:
             raise FileFormatError(f"d of unknown generator {name!r}", line_no)
         try:
@@ -126,13 +132,13 @@ def load_algebra_text(text, *, verify=True) -> AlgebraFile:
     try:
         pres = Presentation(algebra, diffs)
     except PresentationError as err:
-        raise FileFormatError(str(err), 0) from err
+        raise FileFormatError(str(err), d_lines[err.generator.name][0]) from err
     if verify:
         bad = pres.verify_d_squared()
         if bad is not None:
             gen, residual = bad
             raise FileFormatError(
-                f"d^2 != 0 at generator {gen.name}: residual = {residual}", 0
+                f"d^2 != 0 at generator {gen.name}: residual = {residual}", d_lines[gen.name][0]
             )
     elements = {}
     for line_no, label, expr in let_lines:
@@ -166,55 +172,6 @@ def dump_presentation(pres, elements=None) -> str:
     for label, element in (elements or {}).items():
         lines.append(f"let {label} = {element}")
     return "\n".join(lines) + "\n"
-
-
-class Report:
-    """Pass/fail lines plus free-form info, printable as text or JSON."""
-
-    def __init__(self, command):
-        self.command = command
-        self.checks = []  # (name, ok, detail)
-        self.info = []
-        self.started = time.monotonic()
-
-    def add(self, name, ok, detail=""):
-        self.checks.append((name, bool(ok), detail))
-
-    def note(self, text):
-        self.info.append(text)
-
-    @property
-    def passed(self):
-        return all(ok for _, ok, _ in self.checks)
-
-    def render(self, as_json=False, timings=False):
-        elapsed = time.monotonic() - self.started
-        if as_json:
-            payload = {
-                "command": self.command,
-                "checks": [
-                    {"check": name, "ok": ok, "detail": detail}
-                    for name, ok, detail in self.checks
-                ],
-                "info": self.info,
-                "passed": self.passed,
-            }
-            if timings:
-                payload["elapsed_seconds"] = round(elapsed, 3)
-            return json.dumps(payload, indent=2)
-        lines = [f"command: {self.command}"]
-        lines += self.info
-        for name, ok, detail in self.checks:
-            line = f"{'PASS' if ok else 'FAIL'}  {name}"
-            if detail:
-                line += f"  ({detail})"
-            lines.append(line)
-        if timings:
-            lines.append(f"elapsed: {elapsed:.3f}s")
-        return "\n".join(lines)
-
-    def __str__(self):
-        return self.render()
 
 
 def _finish(report, args):
@@ -330,7 +287,7 @@ def cmd_library(args):
         report.add("library loaded", True)
         return _finish(report, args)
     if not args.name:
-        raise FileFormatError("library dump requires a name", 0)
+        raise FileFormatError("library dump requires a name", None)
     pres = library_presentation(args.name)
     print(dump_presentation(pres), end="")
     return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 
-from .algebra import Algebra, Element, EVEN, ODD
+from .algebra import Algebra, Element, EVEN, ODD, extend_derivation, mul_monomials, transport
 from .dgca import Morphism, Presentation
 
 
@@ -56,32 +56,12 @@ def _extend_algebra(pres, new_gens, new_diffs, name=None):
     for g in old.generators:
         dg = pres.d_of_generator(g)
         if not dg.is_zero():
-            diffs[g.name] = _reindex(dg, algebra)
+            diffs[g.name] = transport(dg, algebra)
     for gname, value in new_diffs.items():
         if value is None or value.is_zero():
             continue
-        diffs[gname] = _reindex(value, algebra)
+        diffs[gname] = transport(value, algebra)
     return Presentation(algebra, diffs, name=name)
-
-
-def _reindex(element, target_algebra):
-    """Move an element into an algebra that extends its own by new trailing
-    generators (ids of shared generators must agree)."""
-    if element.algebra is target_algebra:
-        return element
-    terms = {}
-    for mono, coeff in element.terms.items():
-        for gid, _ in mono:
-            src_gen = element.algebra.generators[gid]
-            tgt_gen = target_algebra.generators[gid]
-            if (src_gen.name, src_gen.degree, src_gen.parity) != (
-                tgt_gen.name,
-                tgt_gen.degree,
-                tgt_gen.parity,
-            ):
-                raise ConstructionError("algebras are not compatible for reindexing")
-        terms[mono] = target_algebra.field.coerce(coeff)
-    return Element(target_algebra, terms)
 
 
 class CentralExtension:
@@ -152,22 +132,11 @@ def strip_generator(element, gen) -> Element:
         )
     items = []
     for mono, coeff in element.terms.items():
-        sign_exp = 0
-        found = False
-        rest = []
-        for gid, exp in mono:
-            if gid == g.id:
-                found = True
-                continue
-            other = alg.generators[gid]
-            if not found:
-                # gen will be moved left past this factor
-                sign_exp += exp * (g.degree * other.degree + g.parity * other.parity)
-            rest.append((gid, exp))
-        if not found:
+        rest = tuple(f for f in mono if f[0] != g.id)
+        if len(rest) == len(mono):
             continue
-        c = coeff if sign_exp % 2 == 0 else -coeff
-        items.append((tuple(rest), c))
+        sign, _ = mul_monomials(alg, ((g.id, 1),), rest)
+        items.append((rest, coeff if sign > 0 else -coeff))
     return Element.from_terms(alg, items)
 
 
@@ -175,18 +144,7 @@ def fiber_integration(ext: CentralExtension, omega) -> Element:
     """a + y*b |-> b, lowering degree by deg(y); a chain map onto (CE(base), -d)."""
     if omega.algebra is not ext.total.algebra:
         raise ConstructionError("element is not over the extension's total presentation")
-    stripped = strip_generator(omega, ext.new_gen)
-    return restrict_to(stripped, ext.base)
-
-
-def restrict_to(element, pres) -> Element:
-    """Reinterpret an element of an extended algebra inside `pres`.
-
-    Every generator appearing in the element must exist in pres, matching
-    by name and bidegree.  Fails loudly otherwise."""
-    from .algebra import transport
-
-    return transport(element, pres.algebra)
+    return transport(strip_generator(omega, ext.new_gen), ext.base.algebra)
 
 
 def shifted_complex_d(pres, element) -> Element:
@@ -204,33 +162,6 @@ class LoopAlgebra:
 
     def shift_generator(self, name):
         return self.presentation.algebra.generator(self.shift_names[name])
-
-
-def _shift_element(element, target_algebra, shift_ids):
-    """Apply the odd derivation s to an element of the embedded base algebra.
-
-    shift_ids maps base generator id -> shifted generator id in the target.
-    The element must already live in the target algebra (base ids shared)."""
-    alg = target_algebra
-    total = alg.zero()
-    for mono, coeff in element.terms.items():
-        prefix_degree = 0
-        for pos, (gid, exp) in enumerate(mono):
-            gen = alg.generators[gid]
-            sid = shift_ids.get(gid)
-            if sid is not None:
-                for j in range(exp):
-                    left = mono[:pos] + (((gid, j),) if j else ())
-                    right = (((gid, exp - j - 1),) if exp - j - 1 else ()) + mono[pos + 1 :]
-                    sign = -1 if (prefix_degree + j * gen.degree) % 2 else 1
-                    term = alg.monomial(left, coeff if sign > 0 else -coeff)
-                    term = term * alg.gen(alg.generators[sid].name)
-                    if right:
-                        term = term * alg.monomial(right)
-                    total = total + term
-            prefix_degree += exp * gen.degree
-        # shifted generators themselves have s(sg) = 0, so contribute nothing
-    return total
 
 
 def loopify(pres, name=None) -> LoopAlgebra:
@@ -260,13 +191,11 @@ def loopify(pres, name=None) -> LoopAlgebra:
         new_gens.append((sname, g.degree - 1, g.parity))
     extended = _extend_algebra(pres, new_gens, {}, name=name or f"L({pres.name or 'g'})")
     alg = extended.algebra
-    shift_ids = {g.id: alg.generator(shift_names[g.name]).id for g in base_gens}
-    diffs = {g.name: _reindex(pres.d_of_generator(g), alg) for g in base_gens}
+    # s on generators: g |-> s g, and s(s g) = 0
+    shift = {g.id: alg.gen(shift_names[g.name]) for g in base_gens}
+    diffs = {g.name: extended.d_of_generator(g.name) for g in base_gens}
     for g in base_gens:
-        dg = diffs[g.name]
-        ds = -_shift_element(dg, alg, shift_ids)
-        diffs[shift_names[g.name]] = ds
-    diffs = {k: v for k, v in diffs.items() if not v.is_zero()}
+        diffs[shift_names[g.name]] = -extend_derivation(alg, shift, diffs[g.name])
     looped = Presentation(alg, diffs, name=name or f"L({pres.name or 'g'})")
     return LoopAlgebra(pres, looped, shift_names)
 
@@ -300,23 +229,13 @@ def cyclify(pres, name=None, cocycle_name=None) -> Cyclification:
     wname = cocycle_name or _fresh_name("w2", taken)
     extended = _extend_algebra(lp, [(wname, 2, EVEN)], {}, name=name or f"cyc({pres.name or 'g'})")
     alg = extended.algebra
-    shift_ids = {
-        alg.generator(gname).id: alg.generator(sname).id
-        for gname, sname in loop.shift_names.items()
-    }
     w = alg.gen(wname)
     diffs = {}
     for g in pres.algebra.generators:
-        d_loop = _reindex(lp.d_of_generator(g.name), alg)
-        sg = alg.gen(loop.shift_names[g.name])
-        value = d_loop + w * sg
-        if not value.is_zero():
-            diffs[g.name] = value
-    for gname, sname in loop.shift_names.items():
-        value = _reindex(lp.d_of_generator(sname), alg)
+        diffs[g.name] = extended.d_of_generator(g.name) + w * alg.gen(loop.shift_names[g.name])
+    for sname in loop.shift_names.values():
         # s(s g) = 0, so the w2-term vanishes on shifted generators
-        if not value.is_zero():
-            diffs[sname] = value
+        diffs[sname] = extended.d_of_generator(sname)
     cyc = Presentation(alg, diffs, name=name or f"cyc({pres.name or 'g'})")
     cyc.ensure_d_squared()
     return Cyclification(pres, cyc, dict(loop.shift_names), wname)
@@ -388,9 +307,9 @@ def adjunction_transpose(ext: CentralExtension, phi: Morphism) -> Morphism:
     images = {}
     for g in phi.source.algebra.generators:
         img = phi.image_of(g)
-        images[g.name] = restrict_to(y_free_part(img, ext.new_gen), ext.base)
-        images[cyc.shift_names[g.name]] = -restrict_to(
-            strip_generator(img, ext.new_gen), ext.base
+        images[g.name] = transport(y_free_part(img, ext.new_gen), ext.base.algebra)
+        images[cyc.shift_names[g.name]] = -transport(
+            strip_generator(img, ext.new_gen), ext.base.algebra
         )
     images[cyc.cocycle_name] = ext.cocycle
     out = Morphism(cyc.presentation, ext.base, images, name="transpose")

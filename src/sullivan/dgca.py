@@ -14,13 +14,15 @@ verified on demand, with the result cached.
 
 from __future__ import annotations
 
-from .algebra import Algebra, Element, mul_monomials
+from .algebra import Algebra, Element, extend_derivation
 from .linalg import kernel_basis, kernel_mod_image
 from .parsing import parse_element
 
 
 class PresentationError(ValueError):
-    pass
+    def __init__(self, message, generator=None):
+        super().__init__(message)
+        self.generator = generator  # the generator whose d is at fault, if known
 
 
 class MorphismError(ValueError):
@@ -45,12 +47,13 @@ class Presentation:
             if value.is_zero():
                 continue
             if not value.is_homogeneous():
-                raise PresentationError(f"d({gen.name}) is not homogeneous")
+                raise PresentationError(f"d({gen.name}) is not homogeneous", gen)
             deg, par = value.bidegree()
             if deg != gen.degree + 1 or par != gen.parity:
                 raise PresentationError(
                     f"d({gen.name}) must have bidegree ({gen.degree + 1}, "
-                    f"{'odd' if gen.parity else 'even'}); got ({deg}, {'odd' if par else 'even'})"
+                    f"{'odd' if gen.parity else 'even'}); got ({deg}, {'odd' if par else 'even'})",
+                    gen,
                 )
             self._d[gen.id] = value
 
@@ -75,35 +78,7 @@ class Presentation:
         """Leibniz extension of the generator assignment."""
         if element.algebra is not self.algebra:
             raise PresentationError("element belongs to a different algebra")
-        alg = self.algebra
-        acc = {}
-        for mono, coeff in element.terms.items():
-            prefix_degree = 0
-            for pos, (gid, exp) in enumerate(mono):
-                dgen = self._d.get(gid)
-                gen = alg.generators[gid]
-                if dgen is not None:
-                    for j in range(exp):
-                        left = mono[:pos] + (((gid, j),) if j else ())
-                        right = (((gid, exp - j - 1),) if exp - j - 1 else ()) + mono[pos + 1 :]
-                        sign = (prefix_degree + j * gen.degree) % 2
-                        for m2, c2 in dgen.terms.items():
-                            s1, m12 = mul_monomials(alg, left, m2)
-                            if s1 == 0:
-                                continue
-                            if right:
-                                s2, m_all = mul_monomials(alg, m12, right)
-                                if s2 == 0:
-                                    continue
-                            else:
-                                s2, m_all = 1, m12
-                            c = coeff * c2
-                            if (sign == 1) ^ (s1 < 0) ^ (s2 < 0):
-                                c = -c
-                            prev = acc.get(m_all)
-                            acc[m_all] = c if prev is None else prev + c
-                prefix_degree += exp * gen.degree
-        return Element(alg, {m: c for m, c in acc.items() if c})
+        return extend_derivation(self.algebra, self._d, element)
 
     def is_cocycle(self, element) -> bool:
         if not element.is_homogeneous():
@@ -182,7 +157,6 @@ class Morphism:
         for gen in source.algebra.generators:
             if gen.id not in self._images:
                 raise MorphismError(f"no image given for generator {gen.name}")
-        self._verified = False
 
     def image_of(self, gen):
         if isinstance(gen, str):
@@ -229,7 +203,6 @@ class Morphism:
             rhs = self.target.apply_d(self._images[gen.id])
             if lhs != rhs:
                 return (gen, "does not commute with d", lhs - rhs)
-        self._verified = True
         return None
 
     def ensure_verified(self):

@@ -27,10 +27,10 @@ from __future__ import annotations
 import itertools
 
 from .algebra import Algebra, Element
-from .cli import Report
 from .constructions import central_extension
 from .dgca import Presentation
 from .fields import QI
+from .report import Report
 from .tduality import derive_quintuple, validate_config
 from .twisted import TwistedCochain, fm_inverse, fm_transform
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 
-from .algebra import Element, EVEN
+from .algebra import Element, EVEN, relabel, transport
 from .constructions import (
     ExtensionFiberProduct,
     _extend_algebra,
     _fresh_name,
-    _reindex,
     fiber_integration,
     strip_generator,
 )
@@ -263,12 +262,9 @@ class FMQuintuple:
                     raise TwistError("fiber generators must be square-zero type")
         for a, side in ((self.a1, self.side1), (self.a2, self.side2)):
             TwistSpec(side, a)  # validates closedness and bidegree
-        lhs = self.total.apply_d(self.b)
-        rhs = self.incl1.apply(self.a1) - self.incl2.apply(self.a2)
-        if lhs != rhs:
-            raise TwistError(
-                f"kernel relation fails: d b - (pi1* a1 - pi2* a2) = {lhs - rhs}"
-            )
+        residual = self.kernel_relation_residual
+        if not residual.is_zero():
+            raise TwistError(f"kernel relation fails: d b - (pi1* a1 - pi2* a2) = {residual}")
 
     @property
     def kernel_relation_residual(self) -> Element:
@@ -311,29 +307,17 @@ def restrict_through(incl: Morphism, element) -> Element:
     """Invert a generator-to-generator inclusion on an element of its image.
 
     Every generator of the element must be the image of a (unique) source
-    generator; monomials are rebuilt multiplicatively so that any change of
-    relative generator order picks up its Koszul sign."""
-    from .algebra import mul_monomials
-
-    src = incl.source.algebra
-    tgt = incl.target.algebra
+    generator."""
     back = {}
-    for g in src.generators:
+    for g in incl.source.algebra.generators:
         ((mono, _),) = incl.image_of(g).terms.items()
         back[mono[0][0]] = g.id
-    items = []
-    for mono, coeff in element.terms.items():
-        sign = 1
-        acc = ()
-        for gid, exp in mono:
+    for mono in element.terms:
+        for gid, _ in mono:
             if gid not in back:
-                name = tgt.generators[gid].name
+                name = incl.target.algebra.generators[gid].name
                 raise TwistError(f"element is not in the inclusion's image: contains {name}")
-            s, acc = mul_monomials(src, acc, ((back[gid], exp),))
-            sign *= s
-        c = src.field.coerce(coeff)
-        items.append((acc, c if sign > 0 else -c))
-    return Element.from_terms(src, items)
+    return relabel(element, incl.source.algebra, back)
 
 
 def fm_transform(q: FMQuintuple, cochain: TwistedCochain) -> TwistedCochain:
@@ -370,13 +354,11 @@ def compose_fm(q: FMQuintuple, qt: FMQuintuple, rename=None) -> FMQuintuple:
     q.total; the composite kernel is q1^* b + q2^* bt."""
     if not q.side2.same_structure(qt.side1):
         raise TwistError("composition mismatch: q.side2 differs from qt.side1")
-    from .algebra import transport
-
     if transport(q.a2, qt.side1.algebra) != qt.a1:
         raise TwistError("composition mismatch: twists on the shared side differ")
 
     total_names = {g.name for g in q.total.algebra.generators}
-    fresh_of = {}
+    fresh_of = {}  # qt.total fiber generator -> name of its copy
     new_gens = []
     for g in qt.fiber1:
         gen = qt.total.algebra.generators[g.id]
@@ -384,59 +366,22 @@ def compose_fm(q: FMQuintuple, qt: FMQuintuple, rename=None) -> FMQuintuple:
         if fresh in total_names:
             raise TwistError(f"generator name collision: {fresh!r}")
         total_names.add(fresh)
-        fresh_of[gen.name] = fresh
+        fresh_of[gen] = fresh
         new_gens.append((fresh, gen.degree, gen.parity))
-
-    # map lambda: CE(qt.total) -> CE(new total) by names: shared-side gens map
-    # through qt.incl1^{-1} then q.incl2; qt fiber gens map to their copies.
-    shared_to_qtotal = {}
-    for g in qt.side1.algebra.generators:
-        img = qt.incl1.image_of(g)
-        ((mono, _),) = img.terms.items()
-        qt_name = qt.total.algebra.generators[mono[0][0]].name
-        side2_gen = q.side2.algebra.generators[g.id]
-        img2 = q.incl2.image_of(side2_gen)
-        ((mono2, _),) = img2.terms.items()
-        shared_to_qtotal[qt_name] = q.total.algebra.generators[mono2[0][0]].name
-
-    def lam_name(name):
-        if name in fresh_of:
-            return fresh_of[name]
-        return shared_to_qtotal[name]
-
-    # differentials of fresh generators: qt.total's differential must land in
-    # the shared side so its lambda-image is defined over q.total already
-    fresh_diffs = {}
     placeholder = _extend_algebra(q.total, new_gens, {}, name="fm-composite")
     alg = placeholder.algebra
 
-    def move(element):
-        # relabelled generators may land in a different relative order, so
-        # rebuild each monomial multiplicatively to pick up Koszul signs
-        from .algebra import mul_monomials
+    # lambda: CE(qt.total) -> CE(new total) on generator ids: shared-side gens
+    # map through qt.incl1^{-1} then q.incl2; qt fiber gens map to their copies
+    lam = {gen.id: alg.generator(fresh).id for gen, fresh in fresh_of.items()}
+    for g in qt.side1.algebra.generators:
+        ((mono, _),) = qt.incl1.image_of(g).terms.items()
+        ((mono2, _),) = q.incl2.image_of(q.side2.algebra.generators[g.id]).terms.items()
+        lam[mono[0][0]] = alg.generator(q.total.algebra.generators[mono2[0][0]].name).id
 
-        items = []
-        for mono, coeff in element.terms.items():
-            sign = 1
-            acc = ()
-            for gid, exp in mono:
-                nm = lam_name(qt.total.algebra.generators[gid].name)
-                s, acc = mul_monomials(alg, acc, ((alg.generator(nm).id, exp),))
-                sign *= s
-            c = alg.field.coerce(coeff)
-            items.append((acc, c if sign > 0 else -c))
-        return Element.from_terms(alg, items)
-
-    diffs = {
-        g.name: _reindex(q.total.d_of_generator(g), alg)
-        for g in q.total.algebra.generators
-        if not q.total.d_of_generator(g).is_zero()
-    }
-    for g in qt.fiber1:
-        gen = qt.total.algebra.generators[g.id]
-        dval = qt.total.d_of_generator(gen)
-        diffs[fresh_of[gen.name]] = move(dval)
-    diffs = {k: v for k, v in diffs.items() if not v.is_zero()}
+    diffs = {alg.generators[gid].name: dg for gid, dg in placeholder.differentials.items()}
+    for gen, fresh in fresh_of.items():
+        diffs[fresh] = relabel(qt.total.d_of_generator(gen), alg, lam)
     new_total = Presentation(alg, diffs, name="fm-composite")
     new_total.ensure_d_squared()
 
@@ -446,21 +391,20 @@ def compose_fm(q: FMQuintuple, qt: FMQuintuple, rename=None) -> FMQuintuple:
         {g.name: alg.gen(g.name) for g in q.total.algebra.generators},
         name="q1",
     ).ensure_verified()
-    qt_images = {}
-    for g in qt.total.algebra.generators:
-        qt_images[g.name] = alg.gen(lam_name(g.name))
+    qt_images = {
+        g.name: alg.gen(alg.generators[lam[g.id]].name) for g in qt.total.algebra.generators
+    }
     q2 = Morphism(qt.total, new_total, qt_images, name="q2").ensure_verified()
 
     incl1 = q.incl1.then(q1)
     incl2 = qt.incl2.then(q2)
-    fiber1 = [alg.generator(fresh_of[qt.total.algebra.generators[g.id].name]) for g in qt.fiber1]
+    fiber1 = [alg.generators[lam[g.id]] for g in qt.fiber1]
     fiber1 += [alg.generator(q.total.algebra.generators[g.id].name) for g in q.fiber1]
     fiber2 = [alg.generator(q.total.algebra.generators[g.id].name) for g in q.fiber2]
-    fiber2 += [alg.generator(lam_name(qt.total.algebra.generators[g.id].name)) for g in qt.fiber2]
+    fiber2 += [alg.generators[lam[g.id]] for g in qt.fiber2]
     kernel = q1.apply(q.b) + q2.apply(qt.b)
-    a2 = qt.a2
     return FMQuintuple(
-        new_total, q.side1, qt.side2, incl1, incl2, fiber1, fiber2, q.a1, a2, kernel
+        new_total, q.side1, qt.side2, incl1, incl2, fiber1, fiber2, q.a1, qt.a2, kernel
     )
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sullivan.algebra import Algebra, AlgebraError, Element, transport
+from sullivan.algebra import Algebra, AlgebraError, Element, extend_derivation, relabel, transport
 
 
 @pytest.fixture
@@ -178,3 +178,64 @@ def test_canonicalization_idempotent(mixed):
         e = _random_homogeneous(rng, mixed, rng.randint(0, 5))
         again = Element.from_terms(mixed, list(e.terms.items()))
         assert again == e
+
+
+# every (degree mod 2, parity) class, square-zero and polynomial alike
+ALL_CLASSES = [
+    ("a1", 1, "even"),  # square-zero
+    ("p1", 1, "odd"),  # polynomial
+    ("b2", 2, "even"),  # polynomial
+    ("r2", 2, "odd"),  # square-zero
+    ("c3", 3, "even"),  # square-zero
+    ("q3", 3, "odd"),  # polynomial
+]
+
+
+def test_relabel_through_permutations_is_multiplicative():
+    # Element.__mul__ is the oracle: moving a product must equal the product
+    # of the moved factors, whatever order the target stores generators in
+    src = Algebra(ALL_CLASSES)
+    rng = random.Random(17)
+    for _ in range(20):
+        order = list(ALL_CLASSES)
+        rng.shuffle(order)
+        tgt = Algebra(order)
+        id_map = {g.id: tgt.generator(g.name).id for g in src.generators}
+        for _ in range(10):
+            x = _random_homogeneous(rng, src, rng.randint(0, 4))
+            y = _random_homogeneous(rng, src, rng.randint(0, 4))
+            moved = relabel(x * y, tgt, id_map)
+            assert moved == relabel(x, tgt, id_map) * relabel(y, tgt, id_map)
+            assert transport(x * y, tgt) == moved
+            assert transport(moved, src) == x * y
+
+
+def _random_derivation(rng, alg, shift):
+    """Random generator images of bidegree (degree + shift, same parity)."""
+    images = {}
+    for g in alg.generators:
+        if g.degree + shift < 0:
+            continue
+        basis = alg.monomial_basis(g.degree + shift, g.parity)
+        image = alg.zero()
+        for _ in range(2):
+            if basis:
+                image = image + alg.monomial(rng.choice(basis), Fraction(rng.randint(-3, 3)))
+        images[g.id] = image
+    return images
+
+
+@pytest.mark.parametrize("shift", [1, -1], ids=["differential", "loop-shift"])
+def test_extend_derivation_satisfies_leibniz(shift):
+    alg = Algebra(ALL_CLASSES)
+    rng = random.Random(19 + shift)
+    for _ in range(10):
+        images = _random_derivation(rng, alg, shift)
+        D = lambda e: extend_derivation(alg, images, e)  # noqa: E731
+        for g in alg.generators:
+            assert D(alg.gen(g.name)) == images.get(g.id, alg.zero())
+        for _ in range(20):
+            dx = rng.randint(0, 4)
+            x = _random_homogeneous(rng, alg, dx)
+            y = _random_homogeneous(rng, alg, rng.randint(0, 4))
+            assert D(x * y) == D(x) * y + (x * D(y)).scale((-1) ** dx)

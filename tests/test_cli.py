@@ -104,6 +104,43 @@ def test_non_utf8_file_exits_two_with_line(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "text, argv, places",
+    [
+        # a duplicate gen names the line of that gen
+        ("field Q\ngen x2 2 even\ngen x2 4 even\n", ["check", "@"], ["(line 3)"]),
+        # a bad d bidegree names its d line
+        ("# d raises the degree by 2\nfield Q\ngen x2 2 even\ngen y4 4 even\nd x2 = y4\n",
+         ["check", "@"], ["(line 5)"]),
+        # so does a non-homogeneous d
+        ("gen x1 1 even\ngen y2 2 even\ngen z2 2 odd\nd x1 = y2 + z2\n",
+         ["check", "@"], ["(line 4)"]),
+        # d^2 != 0 found at load names the d line of that generator
+        (D_SQUARED_FAILS, ["cohomology", "@", "--max-degree", "3"], ["x1", "(line 5)"]),
+        # a repeated d line names both lines
+        ("gen x1 1 even\ngen y2 2 even\nd x1 = y2\nd x1 = 2*y2\n",
+         ["check", "@"], ["line 3", "(line 4)"]),
+        # neither a --cocycle label nor a missing library name is a file line
+        (LS4, ["hofib", "@", "--cocycle", "nosuch"], []),
+        (None, ["library", "dump"], []),
+    ],
+    ids=["duplicate-gen", "bad-bidegree", "inhomogeneous-d", "d-squared", "repeated-d",
+         "unknown-cocycle", "dump-without-name"],
+)
+def test_input_errors_name_their_line(tmp_path, capsys, text, argv, places):
+    f = tmp_path / "input.alg"
+    if text is not None:
+        f.write_text(text)
+    assert main([str(f) if a == "@" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    for place in places:
+        assert place in err
+    if not places:
+        assert "line" not in err
+
+
 def test_cohomology_command(tmp_path):
     f = tmp_path / "ls4.alg"
     f.write_text(LS4)

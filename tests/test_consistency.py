@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import sympy
 
-from sullivan.algebra import Algebra, mul_monomials
+from sullivan.algebra import Algebra, extend_derivation, mul_monomials
 from sullivan.constructions import central_extension, loopify, strip_generator, y_free_part
 from sullivan.dgca import Presentation, _differential_matrix, cohomology
 from sullivan.tduality import btfold, library_presentation
@@ -89,34 +89,29 @@ def test_apply_d_handles_repeated_odd_degree_factors():
 def test_strip_plus_free_part_reconstructs():
     bt = btfold()
     ext = central_extension(bt, bt.algebra.gen("xc2"), name="yc1")
-    total = ext.total
-    alg = total.algebra
-    y = alg.gen("yc1")
-    gen = alg.generator("yc1")
-    rng = random.Random(102)
-    for _ in range(200):
-        e = alg.zero()
-        for _ in range(4):
-            basis = alg.monomial_basis(rng.randint(0, 8))
-            if basis:
-                e = e + alg.monomial(rng.choice(basis), Fraction(rng.randint(-5, 5)))
-        assert y_free_part(e, gen) + y * strip_generator(e, gen) == e
+    # yc1 is square-zero of even parity, r2 square-zero of odd parity
+    for alg, name in ((ext.total.algebra, "yc1"), (Algebra(MIXED_GENS), "r2")):
+        y = alg.gen(name)
+        gen = alg.generator(name)
+        rng = random.Random(102)
+        for _ in range(200):
+            e = alg.zero()
+            for _ in range(4):
+                basis = alg.monomial_basis(rng.randint(0, 8))
+                if basis:
+                    e = e + alg.monomial(rng.choice(basis), Fraction(rng.randint(-5, 5)))
+            assert y_free_part(e, gen) + y * strip_generator(e, gen) == e, name
 
 
 def test_shift_anticommutes_with_d_globally():
     # d(s x) = -s(d x) is imposed on generators only; it then holds on all
     # elements because both sides extend the same way. Checked on products.
-    from sullivan.constructions import _shift_element
-
     for name in ("lS4", "lS2", "b2u1"):
         base = library_presentation(name)
         loop = loopify(base)
         lp = loop.presentation
         alg = lp.algebra
-        shift_ids = {
-            alg.generator(g).id: alg.generator(s).id
-            for g, s in loop.shift_names.items()
-        }
+        shift = {alg.generator(g).id: alg.gen(s) for g, s in loop.shift_names.items()}
         rng = random.Random(103)
         base_gen_names = [g.name for g in base.algebra.generators]
         for _ in range(100):
@@ -131,8 +126,8 @@ def test_shift_anticommutes_with_d_globally():
                 ]
                 if basis:
                     e = e + alg.monomial(rng.choice(basis), Fraction(rng.randint(-4, 4)))
-            lhs = lp.apply_d(_shift_element(e, alg, shift_ids))
-            rhs = -_shift_element(lp.apply_d(e), alg, shift_ids)
+            lhs = lp.apply_d(extend_derivation(alg, shift, e))
+            rhs = -extend_derivation(alg, shift, lp.apply_d(e))
             assert lhs == rhs, name
 
 

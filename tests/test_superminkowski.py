@@ -187,3 +187,11 @@ def test_import_leaves_numpy_out():
     code = "import sys, sullivan.superminkowski; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_cli_out():
+    # the CLI imports superminkowski, never the reverse: under python -m
+    # sullivan.cli a reverse import would execute the CLI module twice
+    code = "import sys, sullivan.superminkowski; print('sullivan.cli' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
