@@ -74,7 +74,7 @@ def load_algebra_text(text, *, verify=True) -> AlgebraFile:
     gen_specs = []
     gen_lines = {}  # name -> line of its gen directive
     d_lines = {}  # name -> (line, expression)
-    let_lines = []
+    let_lines = {}  # label -> (line, expression)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -115,7 +115,11 @@ def load_algebra_text(text, *, verify=True) -> AlgebraFile:
             if "=" not in rest:
                 raise FileFormatError("expected: let <label> = <expression>", line_no)
             label, expr = (s.strip() for s in rest.split("=", 1))
-            let_lines.append((line_no, label, expr))
+            if label in let_lines:
+                raise FileFormatError(
+                    f"repeated let {label} (first on line {let_lines[label][0]})", line_no
+                )
+            let_lines[label] = (line_no, expr)
         else:
             raise FileFormatError(f"unknown directive {directive!r}", line_no)
     if field_tag is None:
@@ -141,7 +145,9 @@ def load_algebra_text(text, *, verify=True) -> AlgebraFile:
                 f"d^2 != 0 at generator {gen.name}: residual = {residual}", d_lines[gen.name][0]
             )
     elements = {}
-    for line_no, label, expr in let_lines:
+    for label, (line_no, expr) in let_lines.items():
+        if label in algebra.by_name:
+            raise FileFormatError(f"let label {label!r} is a generator name", line_no)
         try:
             elements[label] = parse_element(expr, algebra)
         except ParseError as err:
@@ -172,6 +178,18 @@ def dump_presentation(pres, elements=None) -> str:
     for label, element in (elements or {}).items():
         lines.append(f"let {label} = {element}")
     return "\n".join(lines) + "\n"
+
+
+def _int_at_least(minimum):
+    """argparse type: an integer >= minimum (exit 2 with a message otherwise)."""
+
+    def integer(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _finish(report, args):
@@ -330,15 +348,15 @@ def build_parser():
     p.add_argument("--h3", required=True)
     p.add_argument("action", choices=["verify", "quintuple", "fm-sample"])
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--window", type=int, default=6)
+    p.add_argument("--samples", type=_int_at_least(1), default=25)
+    p.add_argument("--window", type=_int_at_least(0), default=6)
     p.set_defaults(func=cmd_tduality)
 
     p = sub.add_parser("superminkowski", help="Clifford invariants and the Hori exchange")
     p.add_argument("action", choices=["verify", "hori"])
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--window", type=int, default=3)
+    p.add_argument("--samples", type=_int_at_least(1), default=50)
+    p.add_argument("--window", type=_int_at_least(0), default=3)
     p.set_defaults(func=cmd_superminkowski)
 
     p = sub.add_parser("library", help="list or dump built-in presentations")

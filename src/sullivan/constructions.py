@@ -160,9 +160,6 @@ class LoopAlgebra:
         self.presentation = presentation
         self.shift_names = shift_names  # base gen name -> shifted gen name
 
-    def shift_generator(self, name):
-        return self.presentation.algebra.generator(self.shift_names[name])
-
 
 def loopify(pres, name=None) -> LoopAlgebra:
     """Adjoin a shifted copy s g (degree - 1, same parity) of every generator.
@@ -214,9 +211,6 @@ class Cyclification:
         """The canonical degree-2 cocycle."""
         return self.presentation.algebra.gen(self.cocycle_name)
 
-    def shift_generator(self, name):
-        return self.presentation.algebra.generator(self.shift_names[name])
-
 
 def cyclify(pres, name=None, cocycle_name=None) -> Cyclification:
     """The cyclification: loop generators plus a degree-2 even class w2.
@@ -253,9 +247,6 @@ class ExtensionFiberProduct:
         self.gen2 = gen2
         self.incl1 = incl1  # CE(ext1.total) -> CE(total)
         self.incl2 = incl2
-
-    def include_base(self, element):
-        return self.incl1.apply(self.ext1.inclusion.apply(element))
 
 
 def extension_fiber_product(pres, c1, c2, names=("e1c", "e1t")) -> ExtensionFiberProduct:

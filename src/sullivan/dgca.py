@@ -15,7 +15,7 @@ verified on demand, with the result cached.
 from __future__ import annotations
 
 from .algebra import Algebra, Element, extend_derivation
-from .linalg import kernel_basis, kernel_mod_image
+from .linalg import homology, kernel_basis, matrix_of
 from .parsing import parse_element
 
 
@@ -258,16 +258,10 @@ class CohomologyReport:
         return "\n".join(self.lines())
 
 
-def _differential_matrix(pres, basis_lo, basis_hi):
-    """Matrix of d: rows indexed by basis_hi, columns by basis_lo."""
-    field = pres.algebra.field
-    index = {m: i for i, m in enumerate(basis_hi)}
-    rows = [[field.zero] * len(basis_lo) for _ in basis_hi]
-    for j, mono in enumerate(basis_lo):
-        image = pres.apply_d(pres.algebra.monomial(mono))
-        for m, c in image.terms.items():
-            rows[index[m]][j] = c
-    return rows
+def _d_image(pres):
+    """d on monomial keys, as the image function of linalg.matrix_of."""
+    alg = pres.algebra
+    return lambda mono: pres.apply_d(alg.monomial(mono)).terms.items()
 
 
 def cohomology(pres, max_degree) -> CohomologyReport:
@@ -276,32 +270,18 @@ def cohomology(pres, max_degree) -> CohomologyReport:
         raise PresentationError("max_degree must be >= 0")
     pres.ensure_d_squared()
     alg = pres.algebra
-    field = alg.field
-    bases = [alg.monomial_basis(d) for d in range(max_degree + 2)]
-    dims = []
-    reps = []
-    incoming = []
-    for d in range(max_degree + 1):
-        basis = bases[d]
-        n = len(basis)
-        matrix = _differential_matrix(pres, basis, bases[d + 1])
-        rref_rows, pivots = kernel_mod_image(matrix, incoming, field, n)
-        dims.append(len(pivots))
-        reps.append([
-            Element.from_terms(alg, [(basis[c], row[c]) for c in range(n)])
-            for row in rref_rows
-        ])
-        incoming = matrix
-    return CohomologyReport(pres, max_degree, dims, reps)
+    bases = [[]] + [alg.monomial_basis(d) for d in range(max_degree + 2)]
+    reps = [
+        [Element.from_terms(alg, cls) for cls in classes]
+        for classes in homology(_d_image(pres), bases, alg.field)
+    ]
+    return CohomologyReport(pres, max_degree, [len(r) for r in reps], reps)
 
 
 def closed_basis(pres, degree):
     """Basis of the space of degree-`degree` cocycles, as Elements."""
     alg = pres.algebra
     basis = alg.monomial_basis(degree)
-    matrix = _differential_matrix(pres, basis, alg.monomial_basis(degree + 1))
+    matrix = matrix_of(_d_image(pres), basis, alg.monomial_basis(degree + 1), alg.field)
     kernel = kernel_basis(matrix, alg.field, len(basis))
-    return [
-        Element.from_terms(alg, [(basis[c], v[c]) for c in range(len(basis))])
-        for v in kernel
-    ]
+    return [Element.from_terms(alg, zip(basis, v)) for v in kernel]

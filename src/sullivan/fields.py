@@ -2,14 +2,14 @@
 
 Every coefficient in the engine is an exact field element; no floating point
 is used anywhere.  The two concrete fields are exposed as the singletons
-``QQ`` and ``QI``.  A field object knows how to coerce, parse and print its
-scalars; the scalars themselves are ``fractions.Fraction`` (for QQ) and
-``GaussianRational`` (for QI), both immutable and hashable.
+``QQ`` and ``QI``.  A field object knows how to coerce its scalars; the
+scalars themselves are ``fractions.Fraction`` (for QQ) and
+``GaussianRational`` (for QI), both immutable and hashable.  Scalar text is
+read and written by ``parsing``, in the grammar of elements.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 
@@ -118,16 +118,12 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        return QI.format(self)
+        from .parsing import format_scalar  # parsing imports this module
+
+        return format_scalar(QI, self)
 
 
 _I = GaussianRational(0, 1)
-
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
-def _format_fraction(x: Fraction) -> str:
-    return str(x)
 
 
 class RationalField:
@@ -167,15 +163,6 @@ class RationalField:
     def imaginary_unit(self):
         raise FieldError("Q has no imaginary unit")
 
-    def parse(self, text: str):
-        t = text.strip().replace(" ", "")
-        if not _FRACTION_RE.match(t):
-            raise FieldError(f"not a rational literal: {text!r}")
-        return Fraction(t)
-
-    def format(self, x) -> str:
-        return _format_fraction(self.coerce(x))
-
     def __repr__(self):
         return "QQ"
 
@@ -212,65 +199,8 @@ class GaussianRationalField:
     def imaginary_unit(self):
         return _I
 
-    def parse(self, text: str):
-        # Accepts what format() emits: "p/q", "p/q*i", "i", "-i",
-        # "p/q + r/s*i", "p/q - r/s*i".
-        t = text.strip()
-        m = re.match(r"^(.*?)([+-])\s*([^+-]*)$", t) if ("+" in t[1:] or "-" in t[1:]) else None
-        if m and _looks_imaginary(m.group(3)):
-            re_part = QQ.parse(m.group(1))
-            im_txt = m.group(3).strip()
-            im = _parse_imaginary(im_txt)
-            if m.group(2) == "-":
-                im = -im
-            return GaussianRational(re_part, im)
-        if _looks_imaginary(t):
-            return GaussianRational(0, _parse_imaginary_signed(t))
-        return GaussianRational(QQ.parse(t))
-
-    def format(self, x) -> str:
-        x = self.coerce(x)
-        if x.im == 0:
-            return _format_fraction(x.re)
-        if x.re == 0:
-            return _format_imaginary(x.im)
-        sign = "-" if x.im < 0 else "+"
-        return f"{_format_fraction(x.re)} {sign} {_format_imaginary(abs(x.im))}"
-
     def __repr__(self):
         return "QI"
-
-
-def _looks_imaginary(t: str) -> bool:
-    return t.strip().endswith("i")
-
-
-def _parse_imaginary(t: str) -> Fraction:
-    t = t.strip()
-    if t == "i":
-        return Fraction(1)
-    if not t.endswith("*i"):
-        raise FieldError(f"bad imaginary literal: {t!r}")
-    return QQ.parse(t[:-2])
-
-
-def _parse_imaginary_signed(t: str) -> Fraction:
-    t = t.strip()
-    if t == "i":
-        return Fraction(1)
-    if t == "-i":
-        return Fraction(-1)
-    if t == "+i":
-        return Fraction(1)
-    return _parse_imaginary(t)
-
-
-def _format_imaginary(b: Fraction) -> str:
-    if b == 1:
-        return "i"
-    if b == -1:
-        return "-i"
-    return f"{_format_fraction(b)}*i"
 
 
 QQ = RationalField()

@@ -1,7 +1,9 @@
-"""Exact Gaussian elimination over Q and Q(i): rank, kernel, reduction.
+"""Exact Gaussian elimination over Q and Q(i): rank, kernel, reduction,
+and the homology of a complex given by a linear map on basis keys.
 
-Matrices are lists of row lists of field scalars.  Pivots are chosen by a
-smallest-coefficient heuristic to limit intermediate coefficient growth.
+Matrices are lists of row lists of field scalars; no other module builds
+them.  Pivots are chosen by a smallest-coefficient heuristic to limit
+intermediate coefficient growth.
 """
 
 from __future__ import annotations
@@ -101,6 +103,35 @@ def kernel_mod_image(m_out, m_in, field, n):
     image_red, image_pivots = row_reduce(list(zip(*m_in)), field, n)
     reduced = [reduce_against(v, image_red, image_pivots) for v in kernel]
     return row_reduce(reduced, field, n)
+
+
+def matrix_of(image, basis_lo, basis_hi, field):
+    """Matrix of a linear map: rows indexed by basis_hi, columns by basis_lo.
+
+    image(key) yields the (key, coeff) pairs of the image of a basis_lo key,
+    each key at most once; a key outside basis_hi raises KeyError."""
+    index = {key: i for i, key in enumerate(basis_hi)}
+    rows = [[field.zero] * len(basis_lo) for _ in basis_hi]
+    for j, key in enumerate(basis_lo):
+        for k, c in image(key):
+            rows[index[k]][j] = c
+    return rows
+
+
+def homology(image, bases, field):
+    """Homology of the complex bases[0] -> bases[1] -> ... under image.
+
+    For each inner basis bases[1:-1], returns its classes: the RREF rows of
+    ker/im as lists of (key, coeff) pairs with nonzero coeff, in basis order.
+    Each matrix is built once and reused as the next incoming map."""
+    classes = []
+    incoming = matrix_of(image, bases[0], bases[1], field)
+    for basis, basis_hi in zip(bases[1:], bases[2:]):
+        outgoing = matrix_of(image, basis, basis_hi, field)
+        rref_rows, _ = kernel_mod_image(outgoing, incoming, field, len(basis))
+        classes.append([[(basis[c], v) for c, v in enumerate(row) if v] for row in rref_rows])
+        incoming = outgoing
+    return classes
 
 
 def independent_subset(vectors, field, ncols):

@@ -151,18 +151,26 @@ def parse_element(text, algebra) -> Element:
 def format_element(element) -> str:
     """Canonical text form; round-trips through parse_element."""
     alg = element.algebra
-    if element.is_zero():
-        return "0"
+    return _join_terms(
+        (_term_text(alg, mono, piece), sgn)
+        for mono in element.monomials()
+        for piece, sgn in _coefficient_pieces(alg.field, element.terms[mono])
+    )
+
+
+def format_scalar(field, coeff) -> str:
+    """Text of a scalar in the same grammar ("0" for zero)."""
+    return _join_terms(_coefficient_pieces(field, coeff))
+
+
+def _join_terms(signed_bodies):
     chunks = []
-    for mono in element.monomials():
-        coeff = element.terms[mono]
-        for piece, sgn in _coefficient_pieces(alg.field, coeff):
-            body = _term_text(alg, mono, piece)
-            if not chunks:
-                chunks.append(body if sgn > 0 else f"-{body}")
-            else:
-                chunks.append(("+ " if sgn > 0 else "- ") + body)
-    return " ".join(chunks)
+    for body, sgn in signed_bodies:
+        if not chunks:
+            chunks.append(body if sgn > 0 else f"-{body}")
+        else:
+            chunks.append(("+ " if sgn > 0 else "- ") + body)
+    return " ".join(chunks) or "0"
 
 
 def _coefficient_pieces(field, coeff):
@@ -173,24 +181,17 @@ def _coefficient_pieces(field, coeff):
     if field.has_imaginary_unit:
         pieces = []
         if coeff.re:
-            pieces.append((_rat_text(coeff.re), 1 if coeff.re > 0 else -1))
+            pieces.append((str(abs(coeff.re)), 1 if coeff.re > 0 else -1))
         if coeff.im:
             b = coeff.im
-            text = "i" if abs(b) == 1 else f"{_rat_text(b)}*i"
+            text = "i" if abs(b) == 1 else f"{abs(b)}*i"
             pieces.append((text, 1 if b > 0 else -1))
         return pieces
-    return [(_rat_text(coeff), 1 if coeff > 0 else -1)]
-
-
-def _rat_text(q):
-    q = abs(q)
-    return str(q)
+    return [(str(abs(coeff)), 1 if coeff > 0 else -1)]
 
 
 def _term_text(alg, mono, coeff_text):
-    mono_text = alg.format_monomial(mono)
     if not mono:
-        return coeff_text if coeff_text != "i" else "i"
-    if coeff_text in ("1",):
-        return mono_text
-    return f"{coeff_text}*{mono_text}"
+        return coeff_text
+    mono_text = alg.format_monomial(mono)
+    return mono_text if coeff_text == "1" else f"{coeff_text}*{mono_text}"

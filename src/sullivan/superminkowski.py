@@ -426,6 +426,8 @@ def hori_pipeline(seed=20140901, samples=50, window=3) -> Report:
 
     from .algebra import transport
 
+    if samples < 1 or window < 0:
+        raise ValueError(f"need samples >= 1 and window >= 0; got {samples} and {window}")
     report = Report("superminkowski hori")
     sm = build_superminkowski()
     for line in sm.gamma_data.report:

@@ -25,7 +25,7 @@ from .constructions import (
     cyclify,
     extension_fiber_product,
 )
-from .dgca import Morphism, Presentation, cohomology
+from .dgca import Morphism, Presentation
 from .fields import QQ
 from .twisted import FMQuintuple
 
@@ -243,7 +243,3 @@ def btfold_quintuple() -> DerivedQuintuple:
     a = bt.algebra
     cfg = validate_config(bt, a.gen("xc2"), a.gen("xt2"), a.gen("y3"))
     return derive_quintuple(cfg, names=("yc1", "yt1"))
-
-
-def btfold_cohomology_dims():
-    return cohomology(btfold(), 3).dims

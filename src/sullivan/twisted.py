@@ -26,7 +26,7 @@ from .constructions import (
     strip_generator,
 )
 from .dgca import Morphism, Presentation
-from .linalg import kernel_mod_image
+from .linalg import homology
 
 
 class TwistError(ValueError):
@@ -472,34 +472,29 @@ def twisted_cohomology(twist: TwistSpec, parity_class, window) -> TwistedCohomol
         raise TwistError("parity class must be 0 or 1")
     twist.presentation.ensure_d_squared()
     pres = twist.presentation
-    field = pres.algebra.field
+    alg = pres.algebra
     k = parity_class
 
-    bases = {kk: _twisted_basis(pres, kk, window) for kk in (k - 1, k, k + 1)}
-    index = {kk: {bm: i for i, bm in enumerate(bases[kk])} for kk in bases}
+    def image(key):
+        # u^m mono |-> u^m d(mono) + u^(m-1) a*mono, each part only if its
+        # component degree lies in the window
+        m, mono = key
+        deg = alg.monomial_degree(mono)
+        w = alg.monomial(mono)
+        if deg < window:
+            for mono2, c in pres.apply_d(w).terms.items():
+                yield (m, mono2), c
+        if deg + 3 <= window:
+            for mono2, c in (twist.a * w).terms.items():
+                yield (m - 1, mono2), c
 
-    def matrix(deg):
-        rows = [[field.zero] * len(bases[deg]) for _ in bases[deg + 1]]
-        for j, (m, mono) in enumerate(bases[deg]):
-            image = twisted_d_raw(
-                pres, twist.a, TwistedCochain.single(pres, m, pres.algebra.monomial(mono))
-            )
-            for mm, elem in image.components.items():
-                for mono2, c in elem.terms.items():
-                    key = (mm, mono2)
-                    i = index[deg + 1].get(key)
-                    if i is not None:  # window truncation drops the rest
-                        rows[i][j] = c
-        return rows
-
-    rref_rows, pivots = kernel_mod_image(matrix(k), matrix(k - 1), field, len(bases[k]))
+    bases = [_twisted_basis(pres, kk, window) for kk in (k - 1, k, k + 1)]
+    (classes,) = homology(image, bases, alg.field)
     reps = []
-    for row in rref_rows:
+    for cls in classes:
         comps = {}
-        for c, val in enumerate(row):
-            if val:
-                m, mono = bases[k][c]
-                term = pres.algebra.monomial(mono, val)
-                comps[m] = comps[m] + term if m in comps else term
+        for (m, mono), val in cls:
+            term = alg.monomial(mono, val)
+            comps[m] = comps[m] + term if m in comps else term
         reps.append(TwistedCochain(pres, k, comps))
-    return TwistedCohomologyReport(twist, parity_class, window, len(pivots), reps)
+    return TwistedCohomologyReport(twist, parity_class, window, len(reps), reps)

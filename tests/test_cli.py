@@ -120,12 +120,16 @@ def test_non_utf8_file_exits_two_with_line(tmp_path):
         # a repeated d line names both lines
         ("gen x1 1 even\ngen y2 2 even\nd x1 = y2\nd x1 = 2*y2\n",
          ["check", "@"], ["line 3", "(line 4)"]),
+        # a repeated let label names both lines
+        ("gen x2 2 even\nlet w = x2\nlet w = x2^2\n", ["check", "@"], ["line 2", "(line 3)"]),
+        # a let label may not take a generator's name
+        ("gen x2 2 even\nlet x2 = 5*x2\n", ["hofib", "@", "--cocycle", "x2"], ["(line 2)"]),
         # neither a --cocycle label nor a missing library name is a file line
         (LS4, ["hofib", "@", "--cocycle", "nosuch"], []),
         (None, ["library", "dump"], []),
     ],
     ids=["duplicate-gen", "bad-bidegree", "inhomogeneous-d", "d-squared", "repeated-d",
-         "unknown-cocycle", "dump-without-name"],
+         "repeated-let", "let-shadows-generator", "unknown-cocycle", "dump-without-name"],
 )
 def test_input_errors_name_their_line(tmp_path, capsys, text, argv, places):
     f = tmp_path / "input.alg"
@@ -139,6 +143,38 @@ def test_input_errors_name_their_line(tmp_path, capsys, text, argv, places):
         assert place in err
     if not places:
         assert "line" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tduality", "@", "--c1", "xc2", "--c2", "xt2", "--h3", "y3", "fm-sample",
+          "--window", "-1"], "argument --window: must be >= 0, got -1"),
+        (["tduality", "@", "--c1", "xc2", "--c2", "xt2", "--h3", "y3", "fm-sample",
+          "--samples", "-3"], "argument --samples: must be >= 1, got -3"),
+        (["tduality", "@", "--c1", "xc2", "--c2", "xt2", "--h3", "y3", "fm-sample",
+          "--samples", "two"], "argument --samples: invalid integer value: 'two'"),
+        (["superminkowski", "hori", "--window", "-1"], "argument --window: must be >= 0"),
+        (["superminkowski", "hori", "--samples", "0"], "argument --samples: must be >= 1"),
+    ],
+    ids=["fm-window", "fm-samples", "fm-samples-text", "hori-window", "hori-samples"],
+)
+def test_numeric_arguments_refused_up_front(tmp_path, capsys, monkeypatch, argv, message):
+    from sullivan import superminkowski
+
+    def build_superminkowski(*args, **kwargs):
+        raise AssertionError("refused arguments must not build anything")
+
+    monkeypatch.setattr(superminkowski, "build_superminkowski", build_superminkowski)
+    f = tmp_path / "btfold.alg"
+    f.write_text(dump_presentation(library_presentation("btfold")))
+    with pytest.raises(SystemExit) as exit_:
+        main([str(f) if a == "@" else a for a in argv])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_cohomology_command(tmp_path):

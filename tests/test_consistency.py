@@ -8,7 +8,8 @@ import sympy
 
 from sullivan.algebra import Algebra, extend_derivation, mul_monomials
 from sullivan.constructions import central_extension, loopify, strip_generator, y_free_part
-from sullivan.dgca import Presentation, _differential_matrix, cohomology
+from sullivan.dgca import Presentation, _d_image, cohomology
+from sullivan.linalg import matrix_of
 from sullivan.tduality import btfold, library_presentation
 from sullivan.twisted import TwistedCochain, gauge_transform
 
@@ -157,7 +158,7 @@ def _sympy_cohomology_dims(pres, max_degree):
     dims = []
     prev_rank = 0
     for d in range(max_degree + 1):
-        rows = _differential_matrix(pres, bases[d], bases[d + 1])
+        rows = matrix_of(_d_image(pres), bases[d], bases[d + 1], alg.field)
         m = sympy.Matrix(len(bases[d + 1]), len(bases[d]), lambda i, j: sympy.Rational(rows[i][j]))
         r = m.rank()
         dims.append(len(bases[d]) - r - prev_rank)

@@ -147,6 +147,16 @@ def test_mu_iia_completion_formula(sm, cocycles):
     assert cocycles.muB == inclB.apply(cocycles.mu81) - inclB.apply(sm.c2A) * e9B
 
 
+def test_string_twisted_cohomology_odd_window_two(sm, cocycles):
+    # over Q(i); every a*w of a parity-1 basis cochain leaves the window
+    from sullivan.twisted import TwistSpec, twisted_cohomology
+
+    for ext, mu in ((sm.extA, cocycles.muA), (sm.extB, cocycles.muB)):
+        rep = twisted_cohomology(TwistSpec(ext.total, mu), 1, 2)
+        assert rep.dim == 0
+        assert rep.representatives == []
+
+
 def test_quartic_scale(cocycles):
     # the closure of muA is a genuinely quartic cancellation
     assert len(cocycles.muA.terms) > 100
@@ -160,6 +170,18 @@ def test_verify_report_passes():
 def test_hori_pipeline_smoke():
     rep = hori_pipeline(samples=5, window=3)
     assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("samples, window", [(0, 3), (-3, 3), (5, -1)])
+def test_hori_pipeline_refuses_bad_counts_before_building(monkeypatch, samples, window):
+    from sullivan import superminkowski
+
+    def build(*args, **kwargs):
+        raise AssertionError("refused arguments must not build anything")
+
+    monkeypatch.setattr(superminkowski, "build_superminkowski", build)
+    with pytest.raises(ValueError, match="samples >= 1 and window >= 0"):
+        hori_pipeline(samples=samples, window=window)
 
 
 def test_matrices_match_numpy_oracle(gd):

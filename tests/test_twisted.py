@@ -266,13 +266,13 @@ def test_beck_chevalley_examples_and_randomized():
 def edge_dim(pres, window):
     """Truncated dimension at component degree == window, where the outgoing
     differential is dropped: dim C^window - rank(d from degree window-1)."""
-    from sullivan.dgca import _differential_matrix
-    from sullivan.linalg import rank
+    from sullivan.dgca import _d_image
+    from sullivan.linalg import matrix_of, rank
 
     alg = pres.algebra
     basis_top = alg.monomial_basis(window, 0)
     basis_prev = alg.monomial_basis(window - 1, 0) if window >= 1 else []
-    m = _differential_matrix(pres, basis_prev, basis_top)
+    m = matrix_of(_d_image(pres), basis_prev, basis_top, alg.field)
     return len(basis_top) - rank(m, alg.field)
 
 
@@ -316,6 +316,76 @@ def test_twisted_cohomology_gauge_invariance_spot(tfold_q):
         d1 = twisted_cohomology(TwistSpec(total, a), parity, 6).dim
         d2 = twisted_cohomology(TwistSpec(total, a2), parity, 6).dim
         assert d1 == d2
+
+
+def truncated_twisted_cohomology(twist, parity, window):
+    """Oracle: representatives of the truncated twisted cohomology, built as
+    twisted_d_raw of each basis cochain with the components outside the
+    window dropped afterwards."""
+    from sullivan.linalg import kernel_mod_image
+    from sullivan.twisted import _twisted_basis
+
+    pres = twist.presentation
+    alg = pres.algebra
+    bases = {k: _twisted_basis(pres, k, window) for k in (parity - 1, parity, parity + 1)}
+
+    def matrix(k):
+        index = {key: i for i, key in enumerate(bases[k + 1])}
+        rows = [[alg.field.zero] * len(bases[k]) for _ in bases[k + 1]]
+        for j, (m, mono) in enumerate(bases[k]):
+            cochain = TwistedCochain.single(pres, m, alg.monomial(mono))
+            for mm, element in twisted_d_raw(pres, twist.a, cochain).components.items():
+                for mono2, c in element.terms.items():
+                    i = index.get((mm, mono2))
+                    if i is not None:  # outside the window
+                        rows[i][j] = c
+        return rows
+
+    n = len(bases[parity])
+    rref_rows, _ = kernel_mod_image(matrix(parity), matrix(parity - 1), alg.field, n)
+    reps = []
+    for row in rref_rows:
+        comps = {}
+        for (m, mono), val in zip(bases[parity], row):
+            if val:
+                term = alg.monomial(mono, val)
+                comps[m] = comps[m] + term if m in comps else term
+        reps.append(TwistedCochain(pres, parity, comps))
+    return reps
+
+
+def random_closed_twist(rng, pres):
+    """A random combination of the closed degree-(3, even) basis elements."""
+    from sullivan.algebra import EVEN
+    from sullivan.dgca import closed_basis
+
+    a = pres.algebra.zero()
+    for e in closed_basis(pres, 3):
+        if e.bidegree() == (3, EVEN):
+            a = a + e.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return a
+
+
+# every library extension, the T-fold total, and cyc_lS4, whose classes mix
+# u-powers, so that the sign of the a-part shows in the representatives
+@pytest.mark.parametrize("name", ["bu1-by-x2", "lS2-by-x2", "p1", "p2", "tfold", "cyc_lS4"])
+def test_twisted_cohomology_matches_truncated_oracle(name, tfold_q):
+    from sullivan.tduality import library_extensions
+
+    if name == "tfold":
+        total = tfold_q.total
+    elif name == "cyc_lS4":
+        total = library_presentation(name)
+    else:
+        total = library_extensions()[name].total
+    rng = random.Random(f"twisted oracle {name}")
+    for window in range(9):
+        twist = TwistSpec(total, random_closed_twist(rng, total))
+        for parity in (0, 1):
+            rep = twisted_cohomology(twist, parity, window)
+            expected = truncated_twisted_cohomology(twist, parity, window)
+            assert rep.dim == len(expected), (window, parity)
+            assert [str(r) for r in rep.representatives] == [str(r) for r in expected]
 
 
 def test_fm_transform_wrong_side_rejected(tfold_q):
