@@ -451,7 +451,10 @@ def extend_derivation(algebra, images, element):
     images maps generator id -> Element, the derivation's value on that
     generator; generators without an entry map to zero.  Each factor g^exp
     contributes exp terms, the j-th with sign (-1)^(degree of everything to
-    its left) and g^j * D(g) * g^(exp-j-1) in its place.
+    its left) and g^j * D(g) * g^(exp-j-1) in its place.  When exp >= 2, g
+    commutes with itself, so g^2 commutes with everything and the j-th term
+    equals the (j+2)-th: only j = 0 and j = 1 are formed, weighted by how
+    many j of their parity there are.
     """
     acc = {}
     for mono, coeff in element.terms.items():
@@ -460,7 +463,9 @@ def extend_derivation(algebra, images, element):
             dgen = images.get(gid)
             gen = algebra.generators[gid]
             if dgen is not None:
-                for j in range(exp):
+                for j in range(min(exp, 2)):
+                    weight = (exp - j + 1) // 2  # the j' < exp with j' = j mod 2
+                    cw = coeff if weight == 1 else coeff * weight
                     left = mono[:pos] + (((gid, j),) if j else ())
                     right = (((gid, exp - j - 1),) if exp - j - 1 else ()) + mono[pos + 1 :]
                     sign = (prefix_degree + j * gen.degree) % 2
@@ -474,7 +479,7 @@ def extend_derivation(algebra, images, element):
                                 continue
                         else:
                             s2, m_all = 1, m12
-                        c = coeff * c2
+                        c = cw * c2
                         if (sign == 1) ^ (s1 < 0) ^ (s2 < 0):
                             c = -c
                         prev = acc.get(m_all)

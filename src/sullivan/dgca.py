@@ -282,6 +282,6 @@ def closed_basis(pres, degree):
     """Basis of the space of degree-`degree` cocycles, as Elements."""
     alg = pres.algebra
     basis = alg.monomial_basis(degree)
-    matrix = matrix_of(_d_image(pres), basis, alg.monomial_basis(degree + 1), alg.field)
+    matrix = matrix_of(_d_image(pres), basis, alg.monomial_basis(degree + 1))
     kernel = kernel_basis(matrix, alg.field, len(basis))
-    return [Element.from_terms(alg, zip(basis, v)) for v in kernel]
+    return [Element.from_terms(alg, ((basis[c], v[c]) for c in sorted(v))) for v in kernel]

@@ -239,3 +239,43 @@ def test_extend_derivation_satisfies_leibniz(shift):
             x = _random_homogeneous(rng, alg, dx)
             y = _random_homogeneous(rng, alg, rng.randint(0, 4))
             assert D(x * y) == D(x) * y + (x * D(y)).scale((-1) ** dx)
+
+
+def _leibniz_by_factors(alg, images, element):
+    """Brute-force oracle: each monomial written as a product of single
+    generators, D applied to one factor at a time through Element.__mul__."""
+    out = alg.zero()
+    for mono, coeff in element.terms.items():
+        factors = [alg.generators[gid] for gid, exp in mono for _ in range(exp)]
+        gens = [alg.gen(g.name) for g in factors]
+        product = alg.one()
+        for x in gens:
+            product = product * x
+        assert product == alg.monomial(mono)
+        for i, g in enumerate(factors):
+            term = alg.one().scale((-1) ** sum(f.degree for f in factors[:i]) * coeff)
+            for x in gens[:i]:
+                term = term * x
+            term = term * images.get(g.id, alg.zero())
+            for x in gens[i + 1 :]:
+                term = term * x
+            out = out + term
+    return out
+
+
+def test_extend_derivation_matches_factorwise_leibniz():
+    # high powers of self-commuting generators take the j mod 2 shortcut
+    rng = random.Random(23)
+    for _ in range(300):
+        specs = [(rng.randint(1, 4), rng.choice(["even", "odd"])) for _ in range(rng.randint(1, 4))]
+        alg = Algebra([(f"g{i}", degree, parity) for i, (degree, parity) in enumerate(specs)])
+        images = _random_derivation(rng, alg, 1)
+        for _ in range(2):
+            x = alg.zero()
+            for _ in range(2):
+                term = alg.one().scale(Fraction(rng.randint(-3, 3)))
+                for g in alg.generators:
+                    top = 1 if g.square_zero else 7
+                    term = term * alg.gen(g.name) ** rng.randint(0, top)
+                x = x + term
+            assert extend_derivation(alg, images, x) == _leibniz_by_factors(alg, images, x)

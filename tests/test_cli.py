@@ -104,6 +104,16 @@ def test_non_utf8_file_exits_two_with_line(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_huge_exponent_cocycle_answers_promptly(tmp_path):
+    # d of z2^N has N Leibniz terms on one monomial; they are summed in O(1)
+    f = tmp_path / "huge.alg"
+    f.write_text("gen y3 3 even\ngen z2 2 even\nd z2 = y3\nlet w = z2^99999999\n")
+    r = run_cli(["hofib", str(f), "--cocycle", "w"], timeout=30)
+    assert r.returncode == 2
+    assert "not closed: d c = 99999999*y3*z2^99999998" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize(
     "text, argv, places",
     [

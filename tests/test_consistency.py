@@ -158,8 +158,10 @@ def _sympy_cohomology_dims(pres, max_degree):
     dims = []
     prev_rank = 0
     for d in range(max_degree + 1):
-        rows = matrix_of(_d_image(pres), bases[d], bases[d + 1], alg.field)
-        m = sympy.Matrix(len(bases[d + 1]), len(bases[d]), lambda i, j: sympy.Rational(rows[i][j]))
+        rows = matrix_of(_d_image(pres), bases[d], bases[d + 1])
+        m = sympy.Matrix(
+            len(bases[d + 1]), len(bases[d]), lambda i, j: sympy.Rational(rows[i].get(j, 0))
+        )
         r = m.rank()
         dims.append(len(bases[d]) - r - prev_rank)
         prev_rank = r
@@ -189,16 +191,11 @@ def test_cohomology_representatives_closed_and_nonexact():
         basis = alg.monomial_basis(d)
         index = {m: i for i, m in enumerate(basis)}
         prev = alg.monomial_basis(d - 1)
-        cols = []
-        for mono in prev:
-            img = pres.apply_d(alg.monomial(mono))
-            v = [alg.field.zero] * len(basis)
-            for m, c in img.terms.items():
-                v[index[m]] = c
-            cols.append(v)
+        cols = [
+            {index[m]: c for m, c in pres.apply_d(alg.monomial(mono)).terms.items()}
+            for mono in prev
+        ]
         red, pivots = row_reduce(cols, alg.field, len(basis))
         for r in rep.representatives[d]:
-            v = [alg.field.zero] * len(basis)
-            for m, c in r.terms.items():
-                v[index[m]] = c
-            assert any(reduce_against(v, red, pivots))
+            v = {index[m]: c for m, c in r.terms.items()}
+            assert reduce_against(v, red, pivots)  # a nonzero sparse row

@@ -115,10 +115,10 @@ def test_c2_cocycles_real_and_independent(sm):
         assert sm.base.is_cocycle(c)
     monomials = sorted(set(sm.c2A.terms) | set(sm.c2B.terms))
     rows = [
-        [c.terms.get(m, QI.zero) for m in monomials]
+        {i: c.terms[m] for i, m in enumerate(monomials) if m in c.terms}
         for c in (sm.c2A, sm.c2B)
     ]
-    assert rank(rows, QI) == 2
+    assert rank(rows, QI, len(monomials)) == 2
 
 
 def test_de_real_coefficients(sm):
@@ -155,6 +155,22 @@ def test_string_twisted_cohomology_odd_window_two(sm, cocycles):
         rep = twisted_cohomology(TwistSpec(ext.total, mu), 1, 2)
         assert rep.dim == 0
         assert rep.representatives == []
+
+
+def test_string_twisted_cohomology_even_window_two(sm, cocycles):
+    from sullivan.twisted import TwistSpec, twisted_cohomology
+
+    for ext, mu in ((sm.extA, cocycles.muA), (sm.extB, cocycles.muB)):
+        assert twisted_cohomology(TwistSpec(ext.total, mu), 0, 2).dim == 564
+
+
+def test_cohomology_to_degree_two(sm):
+    # dims agree with the dense elimination that sparse elimination replaced
+    from sullivan.dgca import cohomology
+
+    assert cohomology(sm.base, 2).dims == [1, 32, 519]
+    assert cohomology(sm.extA.total, 2).dims == [1, 32, 518]
+    assert cohomology(sm.extB.total, 2).dims == [1, 32, 518]
 
 
 def test_quartic_scale(cocycles):

@@ -272,8 +272,8 @@ def edge_dim(pres, window):
     alg = pres.algebra
     basis_top = alg.monomial_basis(window, 0)
     basis_prev = alg.monomial_basis(window - 1, 0) if window >= 1 else []
-    m = matrix_of(_d_image(pres), basis_prev, basis_top, alg.field)
-    return len(basis_top) - rank(m, alg.field)
+    m = matrix_of(_d_image(pres), basis_prev, basis_top)
+    return len(basis_top) - rank(m, alg.field, len(basis_prev))
 
 
 def test_twisted_cohomology_zero_twist_matches_untwisted():
@@ -329,27 +329,34 @@ def truncated_twisted_cohomology(twist, parity, window):
     alg = pres.algebra
     bases = {k: _twisted_basis(pres, k, window) for k in (parity - 1, parity, parity + 1)}
 
-    def matrix(k):
+    def columns(k):
+        """The image of each basis cochain of degree k, as a sparse row."""
         index = {key: i for i, key in enumerate(bases[k + 1])}
-        rows = [[alg.field.zero] * len(bases[k]) for _ in bases[k + 1]]
-        for j, (m, mono) in enumerate(bases[k]):
+        cols = []
+        for m, mono in bases[k]:
             cochain = TwistedCochain.single(pres, m, alg.monomial(mono))
+            col = {}
             for mm, element in twisted_d_raw(pres, twist.a, cochain).components.items():
                 for mono2, c in element.terms.items():
                     i = index.get((mm, mono2))
                     if i is not None:  # outside the window
-                        rows[i][j] = c
-        return rows
+                        col[i] = c
+            cols.append(col)
+        return cols
 
+    rows = [{} for _ in bases[parity + 1]]
+    for j, col in enumerate(columns(parity)):
+        for i, c in col.items():
+            rows[i][j] = c
     n = len(bases[parity])
-    rref_rows, _ = kernel_mod_image(matrix(parity), matrix(parity - 1), alg.field, n)
+    rref_rows, _ = kernel_mod_image(rows, columns(parity - 1), alg.field, n)
     reps = []
     for row in rref_rows:
         comps = {}
-        for (m, mono), val in zip(bases[parity], row):
-            if val:
-                term = alg.monomial(mono, val)
-                comps[m] = comps[m] + term if m in comps else term
+        for c in sorted(row):
+            m, mono = bases[parity][c]
+            term = alg.monomial(mono, row[c])
+            comps[m] = comps[m] + term if m in comps else term
         reps.append(TwistedCochain(pres, parity, comps))
     return reps
 
