@@ -146,27 +146,22 @@ class Algebra:
         key = (degree, parity)
         if key in self._bases:
             return list(self._bases[key])
-        out = []
-        n = len(self.generators)
-
-        def rec(idx, remaining, par, acc):
-            if remaining == 0:
-                if parity is None or par == parity:
-                    out.append(tuple(acc))
-                return
-            if idx == n:
-                return
-            g = self.generators[idx]
-            max_e = 1 if g.square_zero else remaining // g.degree
-            rec(idx + 1, remaining, par, acc)
-            for e in range(1, max_e + 1):
-                if e * g.degree > remaining:
-                    break
-                acc.append((g.id, e))
-                rec(idx + 1, remaining - e * g.degree, (par + e * g.parity) % 2, acc)
-                acc.pop()
-
-        rec(0, degree, EVEN, [])
+        # one generator at a time, without recursion (an algebra may have
+        # thousands of generators): the prefixes on the generators so far, by
+        # the degree they leave and their parity.  Smaller degrees left go
+        # first, so a prefix extended by g is not extended by g again.
+        partial = {(degree, EVEN): [()]}
+        for g in self.generators:
+            top = 1 if g.square_zero else degree
+            for remaining, par in sorted(partial):
+                prefixes = partial[remaining, par]
+                for e in range(1, min(top, remaining // g.degree) + 1):
+                    left = (remaining - e * g.degree, (par + e * g.parity) % 2)
+                    factor = ((g.id, e),)
+                    partial.setdefault(left, []).extend([acc + factor for acc in prefixes])
+        pars = (EVEN, ODD) if parity is None else (parity,)
+        out = [acc for par in pars for acc in partial.get((0, par), ())]
+        del partial  # the other parity and the dead prefixes, before the sort
         out.sort(key=self.monomial_key)
         self._bases[key] = out
         return list(out)
@@ -272,9 +267,6 @@ class Element:
     def monomials(self):
         return sorted(self.terms, key=self.algebra.monomial_key)
 
-    def coefficient(self, mono):
-        return self.terms.get(mono, self.algebra.field.zero)
-
     def is_homogeneous(self):
         bidegs = {
             (self.algebra.monomial_degree(m), self.algebra.monomial_parity(m))
@@ -305,11 +297,6 @@ class Element:
             key = (self.algebra.monomial_degree(m), self.algebra.monomial_parity(m))
             parts.setdefault(key, {})[m] = c
         return {k: Element(self.algebra, v) for k, v in sorted(parts.items())}
-
-    def max_degree(self):
-        if not self.terms:
-            return None
-        return max(self.algebra.monomial_degree(m) for m in self.terms)
 
     # -- arithmetic ---------------------------------------------------------
 

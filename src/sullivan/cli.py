@@ -33,7 +33,7 @@ from .tduality import (
     library_presentation,
     validate_config,
 )
-from .twisted import fm_inverse, fm_transform
+from .twisted import fm_inverse, fm_transform, random_twisted_cochain
 
 DEFAULT_SEED = 20140901
 
@@ -270,8 +270,6 @@ def cmd_tduality(args):
         return _finish(report, args)
     # fm-sample
     import random
-
-    from .superminkowski import random_twisted_cochain
 
     rng = random.Random(args.seed)
     ok = True

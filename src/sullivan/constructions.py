@@ -21,7 +21,7 @@ from __future__ import annotations
 import warnings
 
 from .algebra import Algebra, Element, EVEN, ODD, extend_derivation, mul_monomials, transport
-from .dgca import Morphism, Presentation
+from .dgca import Morphism, Presentation, inclusion
 
 
 class ConstructionError(ValueError):
@@ -110,13 +110,8 @@ def central_extension(pres, cocycle, name=None, degree=None) -> CentralExtension
         name=(pres.name or "g") + f"[{gen_name}]",
     )
     new_gen = total.algebra.generator(gen_name)
-    inclusion = Morphism(
-        pres,
-        total,
-        {g.name: total.algebra.gen(g.name) for g in pres.algebra.generators},
-        name="inclusion",
-    )
-    return CentralExtension(pres, cocycle, total, new_gen, inclusion)
+    incl = inclusion(pres, total, name="inclusion")
+    return CentralExtension(pres, cocycle, total, new_gen, incl)
 
 
 def strip_generator(element, gen) -> Element:
@@ -258,18 +253,8 @@ def extension_fiber_product(pres, c1, c2, names=("e1c", "e1t")) -> ExtensionFibe
     total = second.total
     gen1 = total.algebra.generator(names[0])
     gen2 = total.algebra.generator(names[1])
-    incl1 = Morphism(
-        ext1.total,
-        total,
-        {g.name: total.algebra.gen(g.name) for g in ext1.total.algebra.generators},
-        name="pi1*",
-    )
-    incl2 = Morphism(
-        ext2.total,
-        total,
-        {g.name: total.algebra.gen(g.name) for g in ext2.total.algebra.generators},
-        name="pi2*",
-    )
+    incl1 = inclusion(ext1.total, total, name="pi1*")
+    incl2 = inclusion(ext2.total, total, name="pi2*")
     return ExtensionFiberProduct(pres, ext1, ext2, total, gen1, gen2, incl1, incl2)
 
 

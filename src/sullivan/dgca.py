@@ -14,7 +14,7 @@ verified on demand, with the result cached.
 
 from __future__ import annotations
 
-from .algebra import Algebra, Element, extend_derivation
+from .algebra import Algebra, Element, extend_derivation, relabel
 from .linalg import homology, kernel_basis, matrix_of
 from .parsing import parse_element
 
@@ -138,7 +138,14 @@ class Presentation:
 
 
 class Morphism:
-    """A map between presentations given by generator images in the target."""
+    """A map between presentations given by generator images in the target.
+
+    The map is a generator map when every image is a single target generator
+    with coefficient one and its source generator's bidegree, and no two
+    source generators share an image; `generator_ids` then holds its
+    {source id: target id} dict, and `apply` moves elements with `relabel`.
+    Otherwise `generator_ids` is None and `apply` multiplies images.
+    """
 
     def __init__(self, source, target, images, name=None):
         if source.algebra.field.name != target.algebra.field.name:
@@ -157,6 +164,7 @@ class Morphism:
         for gen in source.algebra.generators:
             if gen.id not in self._images:
                 raise MorphismError(f"no image given for generator {gen.name}")
+        self.generator_ids = _generator_ids(source.algebra, target.algebra, self._images)
 
     def image_of(self, gen):
         if isinstance(gen, str):
@@ -174,6 +182,8 @@ class Morphism:
         if element.algebra is not self.source.algebra:
             raise MorphismError("element is not over the source algebra")
         target = self.target.algebra
+        if self.generator_ids is not None:
+            return relabel(element, target, self.generator_ids)
         acc = {}
         for mono, coeff in element.terms.items():
             term = target.scalar(coeff)
@@ -227,8 +237,33 @@ class Morphism:
         return f"<{label}: {self.source!r} -> {self.target!r}>"
 
 
+def _generator_ids(source, target, images):
+    """{source id: target id} if images make a generator map, else None."""
+    one = target.field.one
+    ids = {}
+    for gid, img in images.items():
+        if len(img.terms) != 1:
+            return None
+        ((mono, coeff),) = img.terms.items()
+        if len(mono) != 1 or mono[0][1] != 1 or coeff != one:
+            return None
+        g, h = source.generators[gid], target.generators[mono[0][0]]
+        if (g.degree, g.parity) != (h.degree, h.parity):
+            return None
+        ids[gid] = h.id
+    return ids if len(set(ids.values())) == len(ids) else None
+
+
+def inclusion(source, target, name=None) -> Morphism:
+    """The map sending each source generator to the target generator of the
+    same name.  It is a generator map when the names carry the same
+    bidegree on both sides; `ensure_verified` checks it commutes with d."""
+    images = {g.name: target.algebra.gen(g.name) for g in source.algebra.generators}
+    return Morphism(source, target, images, name=name)
+
+
 def identity_morphism(pres) -> Morphism:
-    return Morphism(pres, pres, {g.name: pres.algebra.gen(g.name) for g in pres.algebra.generators})
+    return inclusion(pres, pres)
 
 
 class CohomologyReport:

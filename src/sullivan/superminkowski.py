@@ -32,7 +32,7 @@ from .dgca import Presentation
 from .fields import QI
 from .report import Report
 from .tduality import derive_quintuple, validate_config
-from .twisted import TwistedCochain, fm_inverse, fm_transform
+from .twisted import fm_inverse, fm_transform, random_twisted_cochain
 
 # Matrices are sparse dicts {(row, col): nonzero entry}; every one used here
 # is a signed permutation, scaled by i in the case of G10.
@@ -371,49 +371,25 @@ def mu_f1(sm: SuperMinkowski) -> StringCocycles:
             "quartic identity d mu81 = c2A*c2B fails with the recorded lowering metric"
         )
 
-    # muA two ways: the explicit Gamma-matrix formula and h3 - e9A*c2B
-    inclA = sm.extA.inclusion
-    tailA = bilinear(gd, sm.extA.total.algebra, _matmul(gd.G9A, gd.G10), scale=minus_i)
-    if not all(QI.is_real(c) for c in tailA.terms.values()):
-        raise CliffordError("IIA string bilinear is not real")
-    muA = inclA.apply(mu81) + tailA * sm.extA.total.algebra.gen("e9A")
-    alt = inclA.apply(mu81) - sm.extA.total.algebra.gen("e9A") * inclA.apply(sm.c2B)
-    if muA != alt:
-        raise CliffordError("the two expressions for muA disagree")
-    if not sm.extA.total.is_cocycle(muA):
-        raise CliffordError("muA is not closed")
-
-    inclB = sm.extB.inclusion
-    tailB = bilinear(gd, sm.extB.total.algebra, _matmul(gd.G9B, gd.G10), scale=minus_i)
-    if not all(QI.is_real(c) for c in tailB.terms.values()):
-        raise CliffordError("IIB string bilinear is not real")
-    muB = inclB.apply(mu81) + tailB * sm.extB.total.algebra.gen("e9B")
-    altB = inclB.apply(mu81) - inclB.apply(sm.c2A) * sm.extB.total.algebra.gen("e9B")
-    if muB != altB:
-        raise CliffordError("the two expressions for muB disagree")
-    if not sm.extB.total.is_cocycle(muB):
-        raise CliffordError("muB is not closed")
-    return StringCocycles(mu81, muA, muB)
-
-
-def random_twisted_cochain(rng, presentation, total_degree, window, max_terms=3):
-    """A sparse random even cochain with component degrees within the window."""
-    comps = {}
-    m_min = -((window - total_degree) // 2)
-    m_max = total_degree // 2
-    for _ in range(max_terms):
-        m = rng.randint(m_min, m_max)
-        basis = presentation.algebra.monomial_basis(total_degree - 2 * m, 0)
-        if not basis:
-            continue
-        mono = rng.choice(basis)
-        coeff = QI.coerce(rng.randint(-4, 4))
-        if not coeff:
-            continue
-        term = presentation.algebra.monomial(mono, coeff)
-        comps[m] = comps[m] + term if m in comps else term
-    comps = {m: e for m, e in comps.items() if not e.is_zero()}
-    return TwistedCochain(presentation, total_degree, comps)
+    # each mu two ways: the explicit Gamma-matrix formula and h3 - e9*c2 of
+    # the other extension
+    mus = []
+    for label, ext, G9, other_c2 in (
+        ("A", sm.extA, gd.G9A, sm.c2B),
+        ("B", sm.extB, gd.G9B, sm.c2A),
+    ):
+        incl = ext.inclusion
+        e9 = ext.total.algebra.gen(f"e9{label}")
+        tail = bilinear(gd, ext.total.algebra, _matmul(G9, gd.G10), scale=minus_i)
+        if not all(QI.is_real(c) for c in tail.terms.values()):
+            raise CliffordError(f"II{label} string bilinear is not real")
+        mu = incl.apply(mu81) + tail * e9
+        if mu != incl.apply(mu81) - e9 * incl.apply(other_c2):
+            raise CliffordError(f"the two expressions for mu{label} disagree")
+        if not ext.total.is_cocycle(mu):
+            raise CliffordError(f"mu{label} is not closed")
+        mus.append(mu)
+    return StringCocycles(mu81, *mus)
 
 
 def hori_pipeline(seed=20140901, samples=50, window=3) -> Report:

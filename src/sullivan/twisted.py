@@ -25,7 +25,7 @@ from .constructions import (
     fiber_integration,
     strip_generator,
 )
-from .dgca import Morphism, Presentation
+from .dgca import Morphism, Presentation, inclusion
 from .linalg import homology
 
 
@@ -240,25 +240,15 @@ class FMQuintuple:
             if incl.source is not side or incl.target is not self.total:
                 raise TwistError("inclusion endpoints are wrong")
             incl.ensure_verified()
-        total_gens = {g.name for g in self.total.algebra.generators}
-        for incl, fiber, side in (
-            (self.incl1, self.fiber1, self.side1),
-            (self.incl2, self.fiber2, self.side2),
-        ):
-            image_names = set()
-            for g in side.algebra.generators:
-                img = incl.image_of(g)
-                if len(img.terms) != 1:
-                    raise TwistError("inclusions must send generators to single generators")
-                ((mono, coeff),) = img.terms.items()
-                if len(mono) != 1 or mono[0][1] != 1 or coeff != side.algebra.field.one:
-                    raise TwistError("inclusions must send generators to single generators")
-                image_names.add(self.total.algebra.generators[mono[0][0]].name)
-            fiber_names = {g.name for g in fiber}
-            if image_names | fiber_names != total_gens or image_names & fiber_names:
+        total_gens = self.total.algebra.generators
+        for incl, fiber in ((self.incl1, self.fiber1), (self.incl2, self.fiber2)):
+            if incl.generator_ids is None:
+                raise TwistError("inclusions must send generators to single generators")
+            image = {total_gens[t] for t in incl.generator_ids.values()}
+            if image | set(fiber) != set(total_gens) or image & set(fiber):
                 raise TwistError("total generators must split as side image plus fiber")
             for g in fiber:
-                if not self.total.algebra.generators[g.id].square_zero:
+                if not g.square_zero:
                     raise TwistError("fiber generators must be square-zero type")
         for a, side in ((self.a1, self.side1), (self.a2, self.side2)):
             TwistSpec(side, a)  # validates closedness and bidegree
@@ -308,10 +298,9 @@ def restrict_through(incl: Morphism, element) -> Element:
 
     Every generator of the element must be the image of a (unique) source
     generator."""
-    back = {}
-    for g in incl.source.algebra.generators:
-        ((mono, _),) = incl.image_of(g).terms.items()
-        back[mono[0][0]] = g.id
+    if incl.generator_ids is None:
+        raise TwistError("only a generator map can be inverted on its image")
+    back = {t: s for s, t in incl.generator_ids.items()}
     for mono in element.terms:
         for gid, _ in mono:
             if gid not in back:
@@ -374,10 +363,9 @@ def compose_fm(q: FMQuintuple, qt: FMQuintuple, rename=None) -> FMQuintuple:
     # lambda: CE(qt.total) -> CE(new total) on generator ids: shared-side gens
     # map through qt.incl1^{-1} then q.incl2; qt fiber gens map to their copies
     lam = {gen.id: alg.generator(fresh).id for gen, fresh in fresh_of.items()}
-    for g in qt.side1.algebra.generators:
-        ((mono, _),) = qt.incl1.image_of(g).terms.items()
-        ((mono2, _),) = q.incl2.image_of(q.side2.algebra.generators[g.id]).terms.items()
-        lam[mono[0][0]] = alg.generator(q.total.algebra.generators[mono2[0][0]].name).id
+    to_q_total = q.incl2.generator_ids
+    for gid, tid in qt.incl1.generator_ids.items():
+        lam[tid] = alg.generator(q.total.algebra.generators[to_q_total[gid]].name).id
 
     diffs = {alg.generators[gid].name: dg for gid, dg in placeholder.differentials.items()}
     for gen, fresh in fresh_of.items():
@@ -385,12 +373,7 @@ def compose_fm(q: FMQuintuple, qt: FMQuintuple, rename=None) -> FMQuintuple:
     new_total = Presentation(alg, diffs, name="fm-composite")
     new_total.ensure_d_squared()
 
-    q1 = Morphism(
-        q.total,
-        new_total,
-        {g.name: alg.gen(g.name) for g in q.total.algebra.generators},
-        name="q1",
-    ).ensure_verified()
+    q1 = inclusion(q.total, new_total, name="q1").ensure_verified()
     qt_images = {
         g.name: alg.gen(alg.generators[lam[g.id]].name) for g in qt.total.algebra.generators
     }
@@ -449,18 +432,34 @@ class TwistedCohomologyReport:
         return "\n".join(self.lines())
 
 
+def _window_powers(total_degree, window):
+    """The u-powers m with 0 <= total_degree - 2*m <= window, ascending."""
+    return range(-((window - total_degree) // 2), total_degree // 2 + 1)
+
+
 def _twisted_basis(presentation, total_degree, window):
     """Basis of the truncated cochain space: (power, monomial) pairs with
     0 <= total_degree - 2*power <= window."""
     alg = presentation.algebra
-    out = []
-    m_min = -((window - total_degree) // 2)  # ceil((total_degree - window) / 2)
-    m_max = total_degree // 2
-    for m in range(m_min, m_max + 1):
-        d = total_degree - 2 * m
-        for mono in alg.monomial_basis(d, EVEN):
-            out.append((m, mono))
-    return out
+    return [
+        (m, mono)
+        for m in _window_powers(total_degree, window)
+        for mono in alg.monomial_basis(total_degree - 2 * m, EVEN)
+    ]
+
+
+def random_twisted_cochain(rng, presentation, total_degree, window, max_terms=3):
+    """A sparse random even cochain with component degrees within the window."""
+    alg = presentation.algebra
+    powers = _window_powers(total_degree, window)
+    comps = {}
+    for _ in range(max_terms):
+        m = rng.choice(powers)  # the same draw as rng.randint(powers[0], powers[-1])
+        basis = alg.monomial_basis(total_degree - 2 * m, EVEN)
+        if basis:
+            term = alg.monomial(rng.choice(basis), rng.randint(-4, 4))
+            comps[m] = comps[m] + term if m in comps else term
+    return TwistedCochain(presentation, total_degree, comps)
 
 
 def twisted_cohomology(twist: TwistSpec, parity_class, window) -> TwistedCohomologyReport:

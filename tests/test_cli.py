@@ -114,6 +114,17 @@ def test_huge_exponent_cocycle_answers_promptly(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_wide_algebra_cohomology_without_traceback(tmp_path):
+    # the monomial basis of a 1,200-generator algebra is enumerated without
+    # one stack frame per generator
+    f = tmp_path / "wide.alg"
+    f.write_text("".join(f"gen g{k} 1 odd\n" for k in range(1200)))
+    r = run_cli(["cohomology", str(f), "--max-degree", "0"])
+    assert r.returncode == 0
+    assert "H^0: dim 1" in r.stdout
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize(
     "text, argv, places",
     [

@@ -12,7 +12,9 @@ from sullivan.dgca import (
     closed_basis,
     cohomology,
     identity_morphism,
+    inclusion,
 )
+from sullivan.fields import QI, QQ
 from sullivan.tduality import btfold, contractible, library_presentation, sphere_model
 
 
@@ -185,3 +187,90 @@ def test_representatives_independent_mod_exact():
     r2 = rep.representatives[2]
     names = sorted(str(e) for e in r2)
     assert names == ["xc2", "xt2"]
+
+
+def _random_element(rng, alg, terms=4):
+    field = alg.field
+    out = alg.zero()
+    for _ in range(terms):
+        basis = alg.monomial_basis(rng.randint(0, 6))
+        if basis:
+            coeff = field.coerce(rng.randint(-4, 4))
+            if field is QI:
+                coeff = coeff + QI.imaginary_unit() * rng.randint(-2, 2)
+            out = out + alg.monomial(rng.choice(basis), coeff)
+    return out
+
+
+def _product_of_images(morphism, element):
+    """Oracle: each monomial as a product of generator images through
+    Element.__mul__, one factor at a time."""
+    target = morphism.target.algebra
+    out = target.zero()
+    for mono, coeff in element.terms.items():
+        term = target.scalar(coeff)
+        for gid, exp in mono:
+            for _ in range(exp):
+                term = term * morphism.image_of(morphism.source.algebra.generators[gid])
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=["Q", "Qi"])
+def test_generator_map_apply_matches_product_of_images(field):
+    # the target lists the generators in another order, so relabelling has
+    # to re-sort monomials and pick up Koszul signs
+    rng = random.Random(41)
+    signs_seen = False
+    for _ in range(30):
+        specs = [
+            (f"g{i}", rng.randint(1, 3), rng.choice(["even", "odd"]))
+            for i in range(rng.randint(2, 6))
+        ]
+        shuffled = list(specs)
+        rng.shuffle(shuffled)
+        source = Presentation.build(specs, field=field)
+        target = Presentation.build(shuffled + [("extra", 2, "even")], field=field)
+        m = inclusion(source, target)
+        assert m.generator_ids == {
+            g.id: target.algebra.generator(g.name).id for g in source.algebra.generators
+        }
+        for _ in range(10):
+            e = _random_element(rng, source.algebra)
+            image = m.apply(e)
+            assert image == _product_of_images(m, e)
+            ids = m.generator_ids
+            signs_seen |= any(
+                image.terms.get(tuple(sorted((ids[g], x) for g, x in mono))) == -c
+                for mono, c in e.terms.items()
+            )
+    assert signs_seen
+
+
+def test_non_generator_maps_keep_the_product_path():
+    rng = random.Random(43)
+    source = Presentation.build([("x2", 2, "even"), ("y3", 3, "even"), ("p1", 1, "odd")])
+    target = Presentation.build([("p1", 1, "odd"), ("y3", 3, "even"), ("x2", 2, "even")])
+    t = target.algebra
+    scaled = Morphism(source, target, {"x2": t.gen("x2").scale(2), "y3": "y3", "p1": "p1"})
+    assert scaled.generator_ids is None
+    for _ in range(20):
+        e = _random_element(rng, source.algebra)
+        assert scaled.apply(e) == _product_of_images(scaled, e)
+
+    # a generator sent to a generator of another bidegree
+    wide = Presentation.build([("x2", 2, "even"), ("y4", 4, "even")])
+    wrong = Morphism(Presentation.build([("x2", 2, "even")]), wide, {"x2": "y4"})
+    assert wrong.generator_ids is None
+    assert wrong.verify()[1] == "image has wrong bidegree"
+    x2 = wrong.source.algebra.gen("x2")
+    assert wrong.apply(x2 ** 3) == wide.algebra.gen("y4") ** 3
+
+    # two square-zero generators sent to one: the product vanishes
+    pair = Presentation.build([("a1", 1, "even"), ("b1", 1, "even")])
+    line = Presentation.build([("z1", 1, "even")])
+    merged = Morphism(pair, line, {"a1": "z1", "b1": "z1"})
+    assert merged.generator_ids is None
+    a1, b1 = pair.algebra.gen("a1"), pair.algebra.gen("b1")
+    assert merged.apply(a1 * b1).is_zero()
+    assert merged.apply(a1 + b1) == line.algebra.gen("z1").scale(2)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sullivan.constructions import central_extension, extension_fiber_product
+from sullivan.dgca import Morphism, Presentation, inclusion
 from sullivan.tduality import btfold, btfold_quintuple, library_presentation, sphere_model
 from sullivan.twisted import (
     FMQuintuple,
@@ -18,6 +19,7 @@ from sullivan.twisted import (
     fm_transform,
     gauge_transform,
     nilpotency_order,
+    restrict_through,
     twisted_cohomology,
     twisted_d,
     twisted_d_raw,
@@ -406,3 +408,50 @@ def test_compose_side_mismatch_rejected(tfold_q):
     q = tfold_q
     with pytest.raises(TwistError):
         compose_fm(q, q)  # q.side2 differs from q.side1
+
+
+def _rebuilt(q, **changes):
+    """The quintuple q with some of its data replaced, built afresh."""
+    data = dict(
+        total=q.total, side1=q.side1, side2=q.side2, incl1=q.incl1, incl2=q.incl2,
+        fiber1=q.fiber1, fiber2=q.fiber2, a1=q.a1, a2=q.a2, b=q.b,
+    )
+    data.update(changes)
+    return FMQuintuple(**data)
+
+
+def test_bad_quintuples_rejected_at_construction():
+    q = btfold_quintuple().quintuple
+    _rebuilt(q)  # the unchanged data passes
+    T = q.total.algebra
+
+    # a valid morphism that does not send generators to generators
+    S = q.side1.algebra
+    doubled = Morphism(
+        q.side1, q.total,
+        {"xc2": T.gen("xc2").scale(2), "xt2": "xt2", "y3": T.gen("y3").scale(2),
+         "yc1": T.gen("yc1").scale(2)},
+    ).ensure_verified()
+    assert doubled.generator_ids is None
+    with pytest.raises(TwistError, match="single generators"):
+        _rebuilt(q, incl1=doubled)
+    with pytest.raises(TwistError, match="only a generator map"):
+        restrict_through(doubled, T.gen("xc2"))
+
+    # fiber lists that miss a generator or overlap the image
+    for fiber1 in ([], [*q.fiber1, T.generator("xc2")]):
+        with pytest.raises(TwistError, match="split as side image plus fiber"):
+            _rebuilt(q, fiber1=fiber1)
+
+    # the sub-presentation on xt2, yt1 (d yt1 = xt2) leaves the polynomial
+    # generator xc2 in the fiber
+    small = Presentation.build([("xt2", 2, "even"), ("yt1", 1, "even")], {"yt1": "xt2"})
+    small_incl = inclusion(small, q.total).ensure_verified()
+    with pytest.raises(TwistError, match="square-zero"):
+        _rebuilt(q, side1=small, incl1=small_incl, a1=small.algebra.zero(),
+                 fiber1=[T.generator(n) for n in ("xc2", "y3", "yc1")])
+
+    with pytest.raises(TwistError, match="not closed"):
+        _rebuilt(q, a1=S.gen("y3"))  # d y3 = xc2*xt2
+    with pytest.raises(TwistError, match="kernel relation fails"):
+        _rebuilt(q, b=q.b.scale(2))
