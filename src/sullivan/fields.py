@@ -3,9 +3,11 @@
 Every coefficient in the engine is an exact field element; no floating point
 is used anywhere.  The two concrete fields are exposed as the singletons
 ``QQ`` and ``QI``.  A field object knows how to coerce its scalars; the
-scalars themselves are ``fractions.Fraction`` (for QQ) and
-``GaussianRational`` (for QI), both immutable and hashable.  Scalar text is
-read and written by ``parsing``, in the grammar of elements.
+scalars themselves are immutable and hashable.  A real scalar is a
+``fractions.Fraction`` in both fields, and a Q(i) scalar with nonzero
+imaginary part is a ``GaussianRational``, so real arithmetic over Q(i) runs
+on ``Fraction`` alone.  Scalar text is read and written by ``parsing``, in
+the grammar of elements.
 """
 
 from __future__ import annotations
@@ -18,77 +20,79 @@ class FieldError(ValueError):
 
 
 class GaussianRational:
-    """A number a + b*i with exact rational a, b, stored in lowest terms."""
+    """A number a + b*i with exact rational a and nonzero rational b.
+
+    A Q(i) scalar with zero imaginary part is a plain ``Fraction``:
+    ``GaussianRational(a, 0)`` returns ``Fraction(a)``, and so does every
+    arithmetic result that turns out real.  A ``Fraction`` operand is read
+    as a + 0*i, so the two types mix freely in ``+ - * /`` and ``==``."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
         if not isinstance(re, Fraction):
             re = Fraction(re)
         if not isinstance(im, Fraction):
             im = Fraction(im)
+        if not im:
+            return re
+        self = object.__new__(cls)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.im and not o.im:
-            return GaussianRational(self.re * o.re)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        if isinstance(other, GaussianRational):
+            return GaussianRational(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        if isinstance(other, GaussianRational):
+            n = other.re * other.re + other.im * other.im
+            return GaussianRational(
+                (self.re * other.re + self.im * other.im) / n,
+                (self.im * other.re - self.re * other.im) / n,
+            )
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re / other, self.im / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        if isinstance(other, (int, Fraction)):
+            n = self.re * self.re + self.im * self.im
+            return GaussianRational(other * self.re / n, -other * self.im / n)
+        return NotImplemented
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -100,16 +104,11 @@ class GaussianRational:
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return False
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
         return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
 
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
@@ -120,7 +119,7 @@ class GaussianRational:
     def __str__(self):
         from .parsing import format_scalar  # parsing imports this module
 
-        return format_scalar(QI, self)
+        return format_scalar(self)
 
 
 _I = GaussianRational(0, 1)
@@ -146,9 +145,7 @@ class RationalField:
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, GaussianRational):
-            if x.im != 0:
-                raise FieldError(f"cannot coerce {x} into Q: nonzero imaginary part")
-            return x.re
+            raise FieldError(f"cannot coerce {x} into Q: nonzero imaginary part")
         raise FieldError(f"cannot coerce {x!r} into Q")
 
     def is_real(self, x) -> bool:
@@ -168,33 +165,33 @@ class RationalField:
 
 
 class GaussianRationalField:
-    """The field Q(i), with scalars represented by GaussianRational."""
+    """The field Q(i): real scalars are Fractions, the rest GaussianRationals."""
 
     name = "Qi"
     has_imaginary_unit = True
 
     @property
     def zero(self):
-        return GaussianRational(0)
+        return Fraction(0)
 
     @property
     def one(self):
-        return GaussianRational(1)
+        return Fraction(1)
 
     def coerce(self, x):
-        if isinstance(x, GaussianRational):
+        if isinstance(x, (Fraction, GaussianRational)):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
+        if isinstance(x, int):
+            return Fraction(x)
         raise FieldError(f"cannot coerce {x!r} into Q(i)")
 
     def is_real(self, x) -> bool:
-        return self.coerce(x).im == 0
+        return not isinstance(self.coerce(x), GaussianRational)
 
     def fraction(self, p, q=1):
         if q == 0:
             raise ZeroDivisionError("zero denominator")
-        return GaussianRational(Fraction(p, q))
+        return Fraction(p, q)
 
     def imaginary_unit(self):
         return _I

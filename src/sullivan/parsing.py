@@ -17,6 +17,7 @@ import re
 from fractions import Fraction
 
 from .algebra import Element, mul_monomials
+from .fields import GaussianRational
 
 
 class ParseError(ValueError):
@@ -154,13 +155,13 @@ def format_element(element) -> str:
     return _join_terms(
         (_term_text(alg, mono, piece), sgn)
         for mono in element.monomials()
-        for piece, sgn in _coefficient_pieces(alg.field, element.terms[mono])
+        for piece, sgn in _coefficient_pieces(element.terms[mono])
     )
 
 
-def format_scalar(field, coeff) -> str:
+def format_scalar(coeff) -> str:
     """Text of a scalar in the same grammar ("0" for zero)."""
-    return _join_terms(_coefficient_pieces(field, coeff))
+    return _join_terms(_coefficient_pieces(coeff))
 
 
 def _join_terms(signed_bodies):
@@ -173,21 +174,23 @@ def _join_terms(signed_bodies):
     return " ".join(chunks) or "0"
 
 
-def _coefficient_pieces(field, coeff):
-    """Split a coefficient into printable (text-or-None, sign) pieces.
+def _coefficient_pieces(coeff):
+    """Split a coefficient into printable (text, sign) pieces.
 
-    Over Q(i) a mixed coefficient a+bi produces two pieces so that the
-    output stays inside the grammar (no parentheses are needed)."""
-    if field.has_imaginary_unit:
-        pieces = []
-        if coeff.re:
-            pieces.append((str(abs(coeff.re)), 1 if coeff.re > 0 else -1))
-        if coeff.im:
-            b = coeff.im
-            text = "i" if abs(b) == 1 else f"{abs(b)}*i"
-            pieces.append((text, 1 if b > 0 else -1))
-        return pieces
-    return [(str(abs(coeff)), 1 if coeff > 0 else -1)]
+    A real coefficient (a ``Fraction``) gives at most one piece.  A mixed
+    coefficient a+bi gives two, so that the output stays inside the grammar
+    (no parentheses are needed)."""
+    if isinstance(coeff, GaussianRational):
+        re, im = coeff.re, coeff.im
+    else:
+        re, im = coeff, 0
+    pieces = []
+    if re:
+        pieces.append((str(abs(re)), 1 if re > 0 else -1))
+    if im:
+        text = "i" if abs(im) == 1 else f"{abs(im)}*i"
+        pieces.append((text, 1 if im > 0 else -1))
+    return pieces
 
 
 def _term_text(alg, mono, coeff_text):

@@ -44,6 +44,14 @@ def test_is_real():
     assert QI.is_real(QI.imaginary_unit() - QI.imaginary_unit())
 
 
+def test_real_qi_scalars_are_fractions():
+    assert type(gr(3, 0)) is Fraction and gr(3, 0) == 3
+    assert type(GaussianRational(2)) is Fraction
+    for x in (QI.zero, QI.one, QI.fraction(2, 3), QI.coerce(5), QI.coerce(Fraction(1, 2))):
+        assert type(x) is Fraction
+    assert QI.coerce(gr(1, 2)) == gr(1, 2)
+
+
 def test_coerce_rejects_junk():
     with pytest.raises(FieldError):
         QQ.coerce(0.5)
@@ -101,3 +109,52 @@ def test_gaussian_format_parse_round_trip(x):
     scalars = Algebra([], QI)
     assert parse_element(str(x), scalars) == scalars.scalar(x)
     assert parse_element(format_element(scalars.scalar(x)), scalars) == scalars.scalar(x)
+
+
+# Oracle: Q(i) arithmetic on mixed Fraction / GaussianRational operands
+# against an independent model, a + b*i as the pair (a, b) of Fractions.
+# Small values make cancellation to a real result frequent.
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+qi_scalars = st.one_of(
+    small_rationals, st.builds(GaussianRational, small_rationals, small_rationals)
+)
+
+
+def _pair(x):
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    assert type(x) is Fraction
+    return x, Fraction(0)
+
+
+def _assert_is(result, re, im):
+    """result is re + im*i in canonical form: exactly a Fraction when real."""
+    if im == 0:
+        assert type(result) is Fraction
+        assert result == re
+    else:
+        assert type(result) is GaussianRational
+        assert (result.re, result.im) == (re, im)
+
+
+@given(qi_scalars, qi_scalars)
+def test_qi_arithmetic_matches_pair_model(x, y):
+    (a, b), (c, d) = _pair(x), _pair(y)
+    _assert_is(x + y, a + c, b + d)
+    _assert_is(x - y, a - c, b - d)
+    _assert_is(x * y, a * c - b * d, a * d + b * c)
+    n = c * c + d * d
+    if n:
+        _assert_is(x / y, (a * c + b * d) / n, (b * c - a * d) / n)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    _assert_is(-x, -a, -b)
+    _assert_is(x.conjugate(), a, -b)
+    _assert_is(x * x.conjugate(), a * a + b * b, 0)
+    _assert_is(x - x, 0, 0)
+    assert (x == y) == ((a, b) == (c, d)) == (y == x)
+    assert (x != y) == ((a, b) != (c, d))
+    if x == y:
+        assert hash(x) == hash(y)

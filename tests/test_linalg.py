@@ -78,6 +78,7 @@ def _q_scalar(rng):
 
 
 def _qi_scalar(rng):
+    # a Fraction when the imaginary part drawn is 0
     return GaussianRational(_q_scalar(rng), _q_scalar(rng) if rng.random() < 0.5 else 0)
 
 
@@ -86,7 +87,14 @@ def _q_to_sympy(x):
 
 
 def _qi_to_sympy(x):
+    if isinstance(x, Fraction):
+        return _q_to_sympy(x)
     return _q_to_sympy(x.re) + sympy.I * _q_to_sympy(x.im)
+
+
+def _canonical_scalar(x):
+    """A real scalar is exactly a Fraction; a GaussianRational is never real."""
+    return type(x) is Fraction or (type(x) is GaussianRational and x.im != 0)
 
 
 def _from_sympy(field, x):
@@ -113,6 +121,7 @@ def test_sparse_rref_matches_sympy(field, scalar, to_sympy, count):
             for _ in range(n)
         ]
         red, pivots = row_reduce(rows, field, m)
+        assert all(_canonical_scalar(x) for row in red for x in row.values())
         expected, expected_pivots = _dense(rows, n, m, to_sympy).rref()
         assert pivots == list(expected_pivots)
         for i in range(n):
@@ -122,4 +131,5 @@ def test_sparse_rref_matches_sympy(field, scalar, to_sympy, count):
         kern = kernel_basis(rows, field, m)
         assert len(kern) == m - len(pivots)
         for v in kern:
+            assert all(_canonical_scalar(x) for x in v.values())
             assert _annihilates(rows, v)

@@ -95,3 +95,28 @@ def test_print_parse_round_trip_gaussian():
 def test_zero_prints_as_zero(alg):
     assert format_element(alg.zero()) == "0"
     assert str(alg.one()) == "1"
+
+
+@pytest.mark.parametrize(
+    "alone, in_monomial",
+    [
+        ("1", "x2"),
+        ("-1", "-x2"),
+        ("3", "3*x2"),
+        ("-1/2", "-1/2*x2"),
+        ("i", "i*x2"),
+        ("-i", "-i*x2"),
+        ("2*i", "2*i*x2"),
+        ("1/2 - 3*i", "1/2*x2 - 3*i*x2"),
+    ],
+)
+def test_qi_coefficient_text_is_pinned(alone, in_monomial):
+    qi = Algebra([("x2", 2, "even")], QI)
+    scalar = parse_element(alone, qi)
+    assert format_element(scalar) == str(scalar) == alone
+    (coeff,) = scalar.terms.values()
+    assert str(coeff) == alone
+    assert (type(coeff) is Fraction) == ("i" not in alone)
+    element = parse_element(in_monomial, qi)
+    assert format_element(element) == str(element) == in_monomial
+    assert element == qi.gen("x2").scale(coeff)
