@@ -81,6 +81,9 @@ class Algebra:
             gens.append(g)
             by_name[name] = g
         self.generators = tuple(gens)
+        # the Koszul sign tables mul_monomials reads, indexed by generator id
+        self.degrees = tuple(g.degree for g in gens)
+        self.parities = tuple(g.parity for g in gens)
         self.by_name = by_name
         self._bases = {}  # (degree, parity) -> sorted monomial basis
 
@@ -110,17 +113,21 @@ class Algebra:
         g = self.generator(name)
         return Element(self, {((g.id, 1),): self.field.one})
 
-    def monomial(self, mono, coeff=1):
+    def monomial(self, mono, coeff=None):
+        if coeff is None:
+            return Element(self, {mono: self.field.one})
         coeff = self.field.coerce(coeff)
         if not coeff:
             return self.zero()
         return Element(self, {mono: coeff})
 
     def monomial_degree(self, mono):
-        return sum(e * self.generators[i].degree for i, e in mono)
+        degrees = self.degrees
+        return sum(e * degrees[i] for i, e in mono)
 
     def monomial_parity(self, mono):
-        return sum(e * self.generators[i].parity for i, e in mono) % 2
+        parities = self.parities
+        return sum(e * parities[i] for i, e in mono) % 2
 
     def monomial_key(self, mono):
         """Deterministic order: (total degree, dense exponent vector)."""
@@ -194,10 +201,13 @@ def mul_monomials(algebra, m1, m2):
         return 1, m2
     if not m2:
         return 1, m1
-    gens = algebra.generators
+    degrees = algebra.degrees
+    parities = algebra.parities
     # Suffix weights of m1: total degree and parity count not yet consumed.
-    deg_left = sum(e * gens[i].degree for i, e in m1)
-    par_left = sum(e * gens[i].parity for i, e in m1)
+    deg_left = par_left = 0
+    for i, e in m1:
+        deg_left += e * degrees[i]
+        par_left += e * parities[i]
     out = []
     sign_exp = 0
     i1 = i2 = 0
@@ -206,24 +216,21 @@ def mul_monomials(algebra, m1, m2):
         g2, e2 = m2[i2]
         if g1 < g2:
             out.append((g1, e1))
-            deg_left -= e1 * gens[g1].degree
-            par_left -= e1 * gens[g1].parity
+            deg_left -= e1 * degrees[g1]
+            par_left -= e1 * parities[g1]
             i1 += 1
         elif g2 < g1:
-            gen = gens[g2]
-            sign_exp += e2 * (gen.degree * deg_left + gen.parity * par_left)
+            sign_exp += e2 * (degrees[g2] * deg_left + parities[g2] * par_left)
             out.append((g2, e2))
             i2 += 1
         else:
-            gen = gens[g1]
-            if gen.square_zero:
-                return 0, None
-            rest_deg = deg_left - e1 * gen.degree
-            rest_par = par_left - e1 * gen.parity
-            sign_exp += e2 * (gen.degree * rest_deg + gen.parity * rest_par)
+            deg, par = degrees[g1], parities[g1]
+            if (deg + par) % 2:
+                return 0, None  # a repeated square-zero generator
+            deg_left -= e1 * deg
+            par_left -= e1 * par
+            sign_exp += e2 * (deg * deg_left + par * par_left)
             out.append((g1, e1 + e2))
-            deg_left = rest_deg
-            par_left = rest_par
             i1 += 1
             i2 += 1
     out.extend(m1[i1:])

@@ -131,13 +131,8 @@ class RationalField:
     name = "Q"
     has_imaginary_unit = False
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -170,13 +165,8 @@ class GaussianRationalField:
     name = "Qi"
     has_imaginary_unit = True
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, x):
         if isinstance(x, (Fraction, GaussianRational)):

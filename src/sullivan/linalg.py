@@ -3,11 +3,13 @@ reduction, and the homology of a complex given by a linear map on basis keys.
 
 A row is a dict {column: nonzero field scalar} and a matrix is a list of
 rows; no other module builds them.  Elimination touches only nonzero
-entries.  Each row, sparsest first, is reduced by the pivot rows found so
-far; what is left takes its smallest column as pivot, and that column is
-cleared from the earlier pivot rows.  So every pivot is the leading column
-of its row, and the result is the unique reduced row echelon form, whatever
-the order of the rows.
+entries and runs forward only: each row, sparsest first, is reduced in
+ascending column order by the pivot rows found so far, until its leading
+column is not yet a pivot; that column becomes a pivot, with entry 1.  The
+pivot rows are then in echelon form, which is all that rank and homology
+need.  `row_reduce` adds one back-substitution pass, from the last pivot
+down, to reach the unique reduced row echelon form, whatever the order of
+the rows.
 """
 
 from __future__ import annotations
@@ -27,30 +29,45 @@ def _subtract(row, f, prow):
                 del row[c]
 
 
-def _insert(pivot_rows, row, one):
+def _add_row(pivot_rows, row, one):
     """Reduce row (a dict this call may modify) by pivot_rows, a dict pivot
-    column -> RREF row; add what is left as a new pivot row.  True if one was
+    column -> echelon row (1 at its pivot, nothing left of it), in ascending
+    column order; add what is left as a new pivot row.  True if one was
     added."""
-    # a pivot row is zero at every other pivot column, so each subtraction
-    # leaves the row's other pivot entries as they were
-    for c in [c for c in row if c in pivot_rows]:
-        _subtract(row, row[c], pivot_rows[c])
-    if not row:
-        return False
-    lead = min(row)
-    if row[lead] != one:
-        inv = one / row[lead]
-        row = {c: v * inv for c, v in row.items()}
-    for prow in pivot_rows.values():
-        f = prow.get(lead)
-        if f is not None:
-            _subtract(prow, f, row)
-    pivot_rows[lead] = row
-    return True
+    while row:
+        lead = min(row)
+        prow = pivot_rows.get(lead)
+        if prow is None:
+            f = row[lead]
+            if f != one:
+                inv = one / f
+                row = {c: v * inv for c, v in row.items()}
+            pivot_rows[lead] = row
+            return True
+        _subtract(row, row[lead], prow)
+    return False
 
 
-def _sorted_rref(pivot_rows):
+def _echelon(rows, one, ncols):
+    """Pivot column -> echelon row for rows with entries in columns
+    0..ncols-1.  The input rows are not modified."""
+    pivot_rows = {}
+    for row in sorted(rows, key=len):
+        if len(pivot_rows) == ncols:
+            break  # full rank: every remaining row lies in the span
+        _add_row(pivot_rows, dict(row), one)
+    return pivot_rows
+
+
+def _back_substitute(pivot_rows):
+    """Clear every pivot column from the other rows, from the last pivot
+    down, so that each row is cleared only by rows already reduced.
+    Returns the RREF rows and their pivots, ascending."""
     pivots = sorted(pivot_rows)
+    for p in reversed(pivots):
+        row = pivot_rows[p]
+        for c in [c for c in row if c != p and c in pivot_rows]:
+            _subtract(row, row[c], pivot_rows[c])
     return [pivot_rows[c] for c in pivots], pivots
 
 
@@ -59,18 +76,11 @@ def row_reduce(rows, field, ncols):
 
     Returns (rref_rows, pivot_columns), pivots ascending and each row 1 at
     its pivot.  The input rows are not modified."""
-    pivot_rows = {}
-    one = field.one
-    for row in sorted(rows, key=len):
-        if len(pivot_rows) == ncols:
-            break  # full rank: every remaining row lies in the span
-        _insert(pivot_rows, dict(row), one)
-    return _sorted_rref(pivot_rows)
+    return _back_substitute(_echelon(rows, field.one, ncols))
 
 
 def rank(rows, field, ncols):
-    red, pivots = row_reduce(rows, field, ncols)
-    return len(pivots)
+    return len(_echelon(rows, field.one, ncols))
 
 
 def kernel_basis(rows, field, ncols):
@@ -98,19 +108,6 @@ def reduce_against(vector, red_rows, pivots):
         if f is not None:
             _subtract(v, f, row)
     return v
-
-
-def kernel_mod_image(m_out, images, field, n):
-    """ker(m_out) modulo the span of images, all in F^n.
-
-    m_out has n columns; images are rows of width n, the columns of the
-    incoming map.  Returns (rref_rows, pivots): the reduced kernel vectors in
-    RREF, one row per basis class of the quotient.
-    """
-    kernel = kernel_basis(m_out, field, n)
-    image_red, image_pivots = row_reduce(images, field, n)
-    reduced = [reduce_against(v, image_red, image_pivots) for v in kernel]
-    return row_reduce(reduced, field, n)
 
 
 def _columns(image, basis_lo, basis_hi):
@@ -141,25 +138,39 @@ def homology(image, bases, field):
 
     For each inner basis bases[1:-1], returns its classes: the RREF rows of
     ker/im as lists of (key, coeff) pairs with nonzero coeff, in basis order.
-    Each map is built once and reused as the next incoming map."""
+    Each map is built once and reused as the next incoming map.
+
+    The image lies in the kernel and has one pivot column for each of its
+    dimensions, so the kernel is the image plus the kernel vectors that
+    vanish at those pivots; the latter are the kernel of the outgoing map
+    with the pivot columns left out.  Their RREF is the RREF of the kernel
+    vectors reduced against the image."""
     classes = []
     incoming = _columns(image, bases[0], bases[1])
     for basis, basis_hi in zip(bases[1:], bases[2:]):
         outgoing = _columns(image, basis, basis_hi)
-        m_out = _transpose(outgoing, len(basis_hi))
-        rref_rows, _ = kernel_mod_image(m_out, incoming, field, len(basis))
+        image_pivots = _echelon(incoming, field.one, len(basis))
+        free = [j for j in range(len(basis)) if j not in image_pivots]
+        m_out = _transpose([outgoing[j] for j in free], len(basis_hi))
+        kernel = [
+            {free[c]: v for c, v in vec.items()}
+            for vec in kernel_basis(m_out, field, len(free))
+        ]
+        rref_rows, _ = row_reduce(kernel, field, len(basis))
         classes.append([[(basis[c], row[c]) for c in sorted(row)] for row in rref_rows])
         incoming = outgoing
     return classes
 
 
 def independent_subset(vectors, field, ncols):
-    """Indices of a deterministic maximal independent subset, plus its RREF."""
+    """Indices of a deterministic maximal independent subset, plus its RREF:
+    each vector in turn is kept when it is independent of those kept
+    before it."""
     pivot_rows = {}
     one = field.one
     chosen = [
         idx
         for idx, vec in enumerate(vectors)
-        if len(pivot_rows) < ncols and _insert(pivot_rows, dict(vec), one)
+        if len(pivot_rows) < ncols and _add_row(pivot_rows, dict(vec), one)
     ]
-    return (chosen, *_sorted_rref(pivot_rows))
+    return (chosen, *_back_substitute(pivot_rows))

@@ -1,6 +1,8 @@
-"""Rules the engine's source keeps: no floating point anywhere."""
+"""Rules the engine's source keeps: no floating point anywhere, and every
+name the traced benchmark wraps still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,37 @@ def test_rule_sees_floats():
 def test_no_floats_in_source(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert list(_float_uses(tree)) == []
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _traced_names(tree):
+    """(module, function) of every FUNCTION_SPANS entry, and (module, class,
+    method) of every patch_method call, read from the tracer's source."""
+    functions, methods = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "FUNCTION_SPANS" for t in node.targets
+        ):
+            functions = list(ast.literal_eval(node.value).values())
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "patch_method"
+        ):
+            owner, attr = node.args[:2]
+            methods.append((f"sullivan.{owner.value.id}", owner.attr, attr.value))
+    return functions, methods
+
+
+def test_traced_benchmark_names_exist():
+    # the benchmark's --trace 1 wraps these by name; a rename or deletion in
+    # the engine would break it without failing any other test
+    functions, methods = _traced_names(ast.parse(TRACER.read_text(encoding="utf-8")))
+    assert len(functions) >= 19 and len(methods) >= 7
+    for module, name in functions:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+    for module, cls, name in methods:
+        owner = getattr(importlib.import_module(module), cls)
+        assert callable(getattr(owner, name, None)), (module, cls, name)

@@ -19,6 +19,8 @@ from sullivan.superminkowski import (
     verify_report,
 )
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def gd() -> GammaData:
@@ -162,6 +164,22 @@ def test_string_twisted_cohomology_even_window_two(sm, cocycles):
 
     for ext, mu in ((sm.extA, cocycles.muA), (sm.extB, cocycles.muB)):
         assert twisted_cohomology(TwistSpec(ext.total, mu), 0, 2).dim == 564
+
+
+def test_string_twisted_cohomology_window_three(sm, cocycles, monkeypatch):
+    from sullivan import twisted
+    from sullivan.twisted import TwistSpec, twisted_cohomology
+
+    for ext, mu in ((sm.extA, cocycles.muA), (sm.extB, cocycles.muB)):
+        twist = TwistSpec(ext.total, mu)
+        assert twisted_cohomology(twist, 0, 3).dim == 518
+        assert twisted_cohomology(twist, 1, 3).dim == 5354
+    # the same complex through the three-step kernel-mod-image reference
+    twist = TwistSpec(sm.extA.total, cocycles.muA)
+    rep = twisted_cohomology(twist, 1, 3)
+    monkeypatch.setattr(twisted, "homology", oracles.homology)
+    expected = twisted_cohomology(twist, 1, 3)
+    assert [str(r) for r in rep.representatives] == [str(r) for r in expected.representatives]
 
 
 def test_cohomology_to_degree_two(sm):

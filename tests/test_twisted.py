@@ -25,6 +25,8 @@ from sullivan.twisted import (
     twisted_d_raw,
 )
 
+from oracles import truncated_twisted_cohomology
+
 
 def random_cochain(rng, pres, k, window=8, terms=3):
     comps = {}
@@ -318,49 +320,6 @@ def test_twisted_cohomology_gauge_invariance_spot(tfold_q):
         d1 = twisted_cohomology(TwistSpec(total, a), parity, 6).dim
         d2 = twisted_cohomology(TwistSpec(total, a2), parity, 6).dim
         assert d1 == d2
-
-
-def truncated_twisted_cohomology(twist, parity, window):
-    """Oracle: representatives of the truncated twisted cohomology, built as
-    twisted_d_raw of each basis cochain with the components outside the
-    window dropped afterwards."""
-    from sullivan.linalg import kernel_mod_image
-    from sullivan.twisted import _twisted_basis
-
-    pres = twist.presentation
-    alg = pres.algebra
-    bases = {k: _twisted_basis(pres, k, window) for k in (parity - 1, parity, parity + 1)}
-
-    def columns(k):
-        """The image of each basis cochain of degree k, as a sparse row."""
-        index = {key: i for i, key in enumerate(bases[k + 1])}
-        cols = []
-        for m, mono in bases[k]:
-            cochain = TwistedCochain.single(pres, m, alg.monomial(mono))
-            col = {}
-            for mm, element in twisted_d_raw(pres, twist.a, cochain).components.items():
-                for mono2, c in element.terms.items():
-                    i = index.get((mm, mono2))
-                    if i is not None:  # outside the window
-                        col[i] = c
-            cols.append(col)
-        return cols
-
-    rows = [{} for _ in bases[parity + 1]]
-    for j, col in enumerate(columns(parity)):
-        for i, c in col.items():
-            rows[i][j] = c
-    n = len(bases[parity])
-    rref_rows, _ = kernel_mod_image(rows, columns(parity - 1), alg.field, n)
-    reps = []
-    for row in rref_rows:
-        comps = {}
-        for c in sorted(row):
-            m, mono = bases[parity][c]
-            term = alg.monomial(mono, row[c])
-            comps[m] = comps[m] + term if m in comps else term
-        reps.append(TwistedCochain(pres, parity, comps))
-    return reps
 
 
 def random_closed_twist(rng, pres):
