@@ -17,13 +17,19 @@ rule
 
     D(x*y) = D(x)*y + (-1)^|x| x*D(y)
 
-of an odd-degree derivation such as the differential or the loop shift.
-Elements are finite sparse sums of monomials with exact field coefficients.
+of an odd-degree derivation such as the differential or the loop shift.  It
+runs on integer numerators: `derivation_table` scales the derivation's
+images once by their common denominator, and each call scales the element by
+its own, so the sums are Python ints (Gaussian integers where a coefficient
+is not real) that become field scalars only at the end.  Elements are finite
+sparse sums of monomials with exact field coefficients.
 """
 
 from __future__ import annotations
 
-from .fields import QQ
+from math import lcm
+
+from .fields import QQ, GaussianRational
 
 EVEN = 0
 ODD = 1
@@ -211,7 +217,8 @@ def mul_monomials(algebra, m1, m2):
     out = []
     sign_exp = 0
     i1 = i2 = 0
-    while i1 < len(m1) and i2 < len(m2):
+    n1, n2 = len(m1), len(m2)
+    while i1 < n1 and i2 < n2:
         g1, e1 = m1[i1]
         g2, e2 = m2[i2]
         if g1 < g2:
@@ -396,10 +403,22 @@ def relabel(element, target_algebra, id_map):
     """Move an element into another algebra through a map of generator ids.
 
     id_map sends every generator id the element uses to a target generator
-    id of the same bidegree.  Each monomial is rebuilt with `mul_monomials`,
-    so a change of relative generator order picks up its Koszul sign.
+    id of the same bidegree.  When id_map is strictly increasing on those
+    ids, each monomial keeps its factor order and no sign arises.  Otherwise
+    each monomial is rebuilt with `mul_monomials`, so a change of relative
+    generator order picks up its Koszul sign.
     """
     field = target_algebra.field
+    used = sorted({gid for mono in element.terms for gid, _ in mono})
+    targets = [id_map[gid] for gid in used]
+    if all(a < b for a, b in zip(targets, targets[1:])):
+        return Element(
+            target_algebra,
+            {
+                tuple((id_map[gid], exp) for gid, exp in mono): field.coerce(coeff)
+                for mono, coeff in element.terms.items()
+            },
+        )
     items = []
     for mono, coeff in element.terms.items():
         sign = 1
@@ -439,31 +458,73 @@ def transport(element, target_algebra):
     return relabel(element, target_algebra, id_map)
 
 
-def extend_derivation(algebra, images, element):
+def derivation_table(images):
+    """The image table `extend_derivation` reads for a derivation given on
+    generators.
+
+    images maps generator id -> Element.  Returns (D, table): D is the
+    least common denominator of every image coefficient, and table maps each
+    generator with a nonzero image to its ((monomial, c*D), ...) pairs.
+    Each c*D is a Python int when c is real, and a GaussianRational with
+    integral parts otherwise.
+    """
+    den = lcm(*{_denominator(c) for img in images.values() for c in img.terms.values()})
+    table = {
+        gid: tuple((m, _numerator(c, den)) for m, c in img.terms.items())
+        for gid, img in images.items()
+        if img.terms
+    }
+    return den, table
+
+
+def _denominator(c):
+    if type(c) is GaussianRational:
+        return lcm(c.re.denominator, c.im.denominator)
+    return c.denominator
+
+
+def _numerator(c, den):
+    """c * den, for den a multiple of the denominator of c."""
+    if type(c) is GaussianRational:
+        return c * den
+    return c.numerator * (den // c.denominator)
+
+
+def extend_derivation(algebra, table, element):
     """Leibniz extension of an odd-degree derivation given on generators.
 
-    images maps generator id -> Element, the derivation's value on that
-    generator; generators without an entry map to zero.  Each factor g^exp
-    contributes exp terms, the j-th with sign (-1)^(degree of everything to
-    its left) and g^j * D(g) * g^(exp-j-1) in its place.  When exp >= 2, g
-    commutes with itself, so g^2 commutes with everything and the j-th term
-    equals the (j+2)-th: only j = 0 and j = 1 are formed, weighted by how
-    many j of their parity there are.
+    table is the derivation's `derivation_table`; generators without an
+    entry map to zero.  Each factor g^exp contributes exp terms, the j-th
+    with sign (-1)^(degree of everything to its left) and
+    g^j * D(g) * g^(exp-j-1) in its place.  When exp >= 2, g commutes with
+    itself, so g^2 commutes with everything and the j-th term equals the
+    (j+2)-th: only j = 0 and j = 1 are formed, weighted by how many j of
+    their parity there are.
+
+    The sums run on integer numerators: the table's coefficients are scaled
+    by its denominator D and the element's by their own common denominator
+    E, so the loop adds Python ints (GaussianRationals with integral parts
+    where a coefficient is not real).  Each nonzero sum becomes a field
+    scalar once, divided by D*E; a sum that cancels builds no scalar.
     """
+    den, images = table
+    terms = element.terms
+    scale = lcm(*{_denominator(c) for c in terms.values()})
+    degrees = algebra.degrees
     acc = {}
-    for mono, coeff in element.terms.items():
+    for mono, coeff in terms.items():
+        num = _numerator(coeff, scale)
         prefix_degree = 0
         for pos, (gid, exp) in enumerate(mono):
             dgen = images.get(gid)
-            gen = algebra.generators[gid]
             if dgen is not None:
                 for j in range(min(exp, 2)):
                     weight = (exp - j + 1) // 2  # the j' < exp with j' = j mod 2
-                    cw = coeff if weight == 1 else coeff * weight
+                    nw = num * weight
                     left = mono[:pos] + (((gid, j),) if j else ())
                     right = (((gid, exp - j - 1),) if exp - j - 1 else ()) + mono[pos + 1 :]
-                    sign = (prefix_degree + j * gen.degree) % 2
-                    for m2, c2 in dgen.terms.items():
+                    sign = (prefix_degree + j * degrees[gid]) % 2
+                    for m2, c2 in dgen:
                         s1, m12 = mul_monomials(algebra, left, m2)
                         if s1 == 0:
                             continue
@@ -473,10 +534,15 @@ def extend_derivation(algebra, images, element):
                                 continue
                         else:
                             s2, m_all = 1, m12
-                        c = cw * c2
+                        c = nw * c2
                         if (sign == 1) ^ (s1 < 0) ^ (s2 < 0):
                             c = -c
                         prev = acc.get(m_all)
                         acc[m_all] = c if prev is None else prev + c
-            prefix_degree += exp * gen.degree
-    return Element(algebra, {m: c for m, c in acc.items() if c})
+            prefix_degree += exp * degrees[gid]
+    den *= scale
+    fraction = algebra.field.fraction
+    return Element(
+        algebra,
+        {m: fraction(v, den) if type(v) is int else v / den for m, v in acc.items() if v},
+    )

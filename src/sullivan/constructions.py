@@ -20,7 +20,16 @@ from __future__ import annotations
 
 import warnings
 
-from .algebra import Algebra, Element, EVEN, ODD, extend_derivation, mul_monomials, transport
+from .algebra import (
+    Algebra,
+    Element,
+    EVEN,
+    ODD,
+    derivation_table,
+    extend_derivation,
+    mul_monomials,
+    transport,
+)
 from .dgca import Morphism, Presentation, inclusion
 
 
@@ -184,7 +193,7 @@ def loopify(pres, name=None) -> LoopAlgebra:
     extended = _extend_algebra(pres, new_gens, {}, name=name or f"L({pres.name or 'g'})")
     alg = extended.algebra
     # s on generators: g |-> s g, and s(s g) = 0
-    shift = {g.id: alg.gen(shift_names[g.name]) for g in base_gens}
+    shift = derivation_table({g.id: alg.gen(shift_names[g.name]) for g in base_gens})
     diffs = {g.name: extended.d_of_generator(g.name) for g in base_gens}
     for g in base_gens:
         diffs[shift_names[g.name]] = -extend_derivation(alg, shift, diffs[g.name])

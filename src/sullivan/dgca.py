@@ -14,7 +14,7 @@ verified on demand, with the result cached.
 
 from __future__ import annotations
 
-from .algebra import Algebra, Element, extend_derivation, relabel
+from .algebra import Algebra, Element, derivation_table, extend_derivation, relabel
 from .linalg import homology, kernel_basis, matrix_of
 from .parsing import parse_element
 
@@ -56,6 +56,7 @@ class Presentation:
                     gen,
                 )
             self._d[gen.id] = value
+        self._table = derivation_table(self._d)  # the presentation is immutable
 
     @staticmethod
     def build(generators, differentials=None, field=None, name=None):
@@ -78,7 +79,7 @@ class Presentation:
         """Leibniz extension of the generator assignment."""
         if element.algebra is not self.algebra:
             raise PresentationError("element belongs to a different algebra")
-        return extend_derivation(self.algebra, self._d, element)
+        return extend_derivation(self.algebra, self._table, element)
 
     def is_cocycle(self, element) -> bool:
         if not element.is_homogeneous():

@@ -44,6 +44,16 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
+    # immutable, so a copy is the value itself
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __add__(self, other):
         if isinstance(other, GaussianRational):
             return GaussianRational(self.re + other.re, self.im + other.im)

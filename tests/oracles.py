@@ -4,6 +4,7 @@ They are slower than the engine on purpose: each follows the textbook
 definition step by step, on the `linalg` primitives that tests/test_linalg.py
 checks against sympy."""
 
+from sullivan.algebra import Element, mul_monomials
 from sullivan.linalg import kernel_basis, matrix_of, reduce_against, row_reduce
 from sullivan.twisted import TwistedCochain, _twisted_basis, twisted_d_raw
 
@@ -73,3 +74,48 @@ def truncated_twisted_cohomology(twist, parity, window):
             comps[m] = comps[m] + term if m in comps else term
         reps.append(TwistedCochain(pres, parity, comps))
     return reps
+
+
+# the Fraction loop that sullivan.algebra.extend_derivation runs on integer
+# numerators; images is the {generator id: Element} dict itself
+def extend_derivation(algebra, images, element):
+    """Leibniz extension of an odd-degree derivation given on generators.
+
+    images maps generator id -> Element, the derivation's value on that
+    generator; generators without an entry map to zero.  Each factor g^exp
+    contributes exp terms, the j-th with sign (-1)^(degree of everything to
+    its left) and g^j * D(g) * g^(exp-j-1) in its place.  When exp >= 2, g
+    commutes with itself, so g^2 commutes with everything and the j-th term
+    equals the (j+2)-th: only j = 0 and j = 1 are formed, weighted by how
+    many j of their parity there are.
+    """
+    acc = {}
+    for mono, coeff in element.terms.items():
+        prefix_degree = 0
+        for pos, (gid, exp) in enumerate(mono):
+            dgen = images.get(gid)
+            gen = algebra.generators[gid]
+            if dgen is not None:
+                for j in range(min(exp, 2)):
+                    weight = (exp - j + 1) // 2  # the j' < exp with j' = j mod 2
+                    cw = coeff if weight == 1 else coeff * weight
+                    left = mono[:pos] + (((gid, j),) if j else ())
+                    right = (((gid, exp - j - 1),) if exp - j - 1 else ()) + mono[pos + 1 :]
+                    sign = (prefix_degree + j * gen.degree) % 2
+                    for m2, c2 in dgen.terms.items():
+                        s1, m12 = mul_monomials(algebra, left, m2)
+                        if s1 == 0:
+                            continue
+                        if right:
+                            s2, m_all = mul_monomials(algebra, m12, right)
+                            if s2 == 0:
+                                continue
+                        else:
+                            s2, m_all = 1, m12
+                        c = cw * c2
+                        if (sign == 1) ^ (s1 < 0) ^ (s2 < 0):
+                            c = -c
+                        prev = acc.get(m_all)
+                        acc[m_all] = c if prev is None else prev + c
+            prefix_degree += exp * gen.degree
+    return Element(algebra, {m: c for m, c in acc.items() if c})

@@ -44,6 +44,8 @@ from sullivan.twisted import (
     fm_transform,
 )
 
+from samples import random_homogeneous
+
 SEED = 20140901
 
 
@@ -60,19 +62,6 @@ class Budget:
         )
         suffix = f"  [{detail}]" if detail else ""
         print(f"\n{self.name}: PASS ({elapsed:.2f}s < {self.seconds}s){suffix}")
-
-
-def _random_homogeneous(rng, alg, degree, cache, terms=3):
-    key = id(alg), degree
-    if key not in cache:
-        cache[key] = alg.monomial_basis(degree)
-    basis = cache[key]
-    out = alg.zero()
-    for _ in range(terms):
-        if not basis:
-            break
-        out = out + alg.monomial(rng.choice(basis), Fraction(rng.randint(-5, 5)))
-    return out
 
 
 def test_criterion_01_library_soundness():
@@ -95,19 +84,18 @@ def test_criterion_02_sphere_cohomology():
 def test_criterion_03_fiber_integration_laws():
     budget = Budget("criterion 3 (fiber-integration laws)", 10.0)
     rng = random.Random(SEED)
-    cache = {}
     exts = library_extensions()
     for name, ext in exts.items():
         total, base = ext.total, ext.base
         for _ in range(200):
-            omega = _random_homogeneous(rng, total.algebra, rng.randint(0, 8), cache)
+            omega = random_homogeneous(rng, total.algebra, rng.randint(0, 8))
             # chain map: d[-1] (pi_* omega) = pi_*(d omega)
             assert shifted_complex_d(base, fiber_integration(ext, omega)) == (
                 fiber_integration(ext, total.apply_d(omega))
             ), name
             # projection formula: pi_*((pi^* a) w) = (-1)^|a| a pi_* w
             a_deg = rng.randint(0, 6)
-            a = _random_homogeneous(rng, base.algebra, a_deg, cache)
+            a = random_homogeneous(rng, base.algebra, a_deg)
             lhs = fiber_integration(ext, ext.inclusion.apply(a) * omega)
             rhs = (a * fiber_integration(ext, omega)).scale(-1 if a_deg % 2 else 1)
             assert lhs == rhs, name
@@ -281,10 +269,9 @@ def test_criterion_08_invertibility_and_composition():
 
     dq = btfold_quintuple()
     rng = random.Random(SEED)
-    cache = {}
     for _ in range(200):
-        e = _random_homogeneous(
-            rng, dq.fiber_product.ext1.total.algebra, rng.randint(0, 8), cache, terms=4
+        e = random_homogeneous(
+            rng, dq.fiber_product.ext1.total.algebra, rng.randint(0, 8), terms=4
         )
         assert beck_chevalley_check(dq.fiber_product, e)
     budget.done("full matrices both parities + reversal kernel + 200 BC samples")

@@ -6,7 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from sullivan.algebra import Algebra, AlgebraError, Element, extend_derivation, relabel, transport
+from sullivan.algebra import (
+    Algebra,
+    AlgebraError,
+    Element,
+    derivation_table,
+    extend_derivation,
+    relabel,
+    transport,
+)
+
+from samples import integers, random_homogeneous
 
 
 @pytest.fixture
@@ -22,6 +32,10 @@ def mixed():
             ("x4", 4, "even"),   # polynomial
         ]
     )
+
+
+# the coefficients random_homogeneous draws in this module
+SCALARS = integers(6)
 
 
 def test_square_zero_classification(mixed):
@@ -47,16 +61,6 @@ def test_product_examples(mixed):
     assert not (p1 * p1).is_zero()
 
 
-def _random_homogeneous(rng, alg, degree, terms=3):
-    out = alg.zero()
-    basis = alg.monomial_basis(degree)
-    for _ in range(terms):
-        if not basis:
-            break
-        out = out + alg.monomial(rng.choice(basis), Fraction(rng.randint(-6, 6)))
-    return out
-
-
 def test_graded_commutativity_randomized(mixed):
     rng = random.Random(11)
     for _ in range(300):
@@ -76,9 +80,9 @@ def test_graded_commutativity_randomized(mixed):
 def test_associativity_randomized(mixed):
     rng = random.Random(12)
     for _ in range(150):
-        a = _random_homogeneous(rng, mixed, rng.randint(0, 4))
-        b = _random_homogeneous(rng, mixed, rng.randint(0, 4))
-        c = _random_homogeneous(rng, mixed, rng.randint(0, 4))
+        a = random_homogeneous(rng, mixed, rng.randint(0, 4), scalar=SCALARS)
+        b = random_homogeneous(rng, mixed, rng.randint(0, 4), scalar=SCALARS)
+        c = random_homogeneous(rng, mixed, rng.randint(0, 4), scalar=SCALARS)
         assert (a * b) * c == a * (b * c)
 
 
@@ -175,7 +179,7 @@ def test_transport_respects_reordering_signs():
 def test_canonicalization_idempotent(mixed):
     rng = random.Random(13)
     for _ in range(50):
-        e = _random_homogeneous(rng, mixed, rng.randint(0, 5))
+        e = random_homogeneous(rng, mixed, rng.randint(0, 5), scalar=SCALARS)
         again = Element.from_terms(mixed, list(e.terms.items()))
         assert again == e
 
@@ -202,12 +206,33 @@ def test_relabel_through_permutations_is_multiplicative():
         tgt = Algebra(order)
         id_map = {g.id: tgt.generator(g.name).id for g in src.generators}
         for _ in range(10):
-            x = _random_homogeneous(rng, src, rng.randint(0, 4))
-            y = _random_homogeneous(rng, src, rng.randint(0, 4))
+            x = random_homogeneous(rng, src, rng.randint(0, 4), scalar=SCALARS)
+            y = random_homogeneous(rng, src, rng.randint(0, 4), scalar=SCALARS)
             moved = relabel(x * y, tgt, id_map)
             assert moved == relabel(x, tgt, id_map) * relabel(y, tgt, id_map)
             assert transport(x * y, tgt) == moved
             assert transport(moved, src) == x * y
+
+
+def test_relabel_order_reversing_map_picks_up_koszul_sign():
+    # a map that preserves generator order moves monomials as they are; one
+    # that swaps two generators must still apply their Koszul sign
+    src = Algebra([("a", 1, "even"), ("b", 1, "even"), ("p", 1, "odd"), ("q", 1, "odd")])
+    tgt = Algebra([("q", 1, "odd"), ("p", 1, "odd"), ("b", 1, "even"), ("a", 1, "even")])
+    id_map = {g.id: tgt.generator(g.name).id for g in src.generators}
+    a, b, p, q = (src.gen(n) for n in "abpq")
+    ta, tb, tp, tq = (tgt.gen(n) for n in "abpq")
+    # a*b = -b*a: (-1)^(1*1 + 0*0)
+    assert relabel(a * b, tgt, id_map).terms == {((2, 1), (3, 1)): Fraction(-1)}
+    assert relabel(a * b, tgt, id_map) == ta * tb
+    # p*q = q*p: (-1)^(1*1 + 1*1)
+    assert relabel(p * q, tgt, id_map).terms == {((0, 1), (1, 1)): Fraction(1)}
+    assert relabel(a * b * p, tgt, id_map) == ta * tb * tp
+    # a -> b, b -> a, p -> q, q -> p: increasing on the ids of a*b only
+    swap = {0: 2, 1: 3, 2: 0, 3: 1}
+    assert relabel(a * b, tgt, swap).terms == {((2, 1), (3, 1)): Fraction(1)}
+    assert relabel(a * b, tgt, swap) == tb * ta
+    assert relabel(a * p, tgt, swap) == tb * tq
 
 
 def _random_derivation(rng, alg, shift):
@@ -231,13 +256,14 @@ def test_extend_derivation_satisfies_leibniz(shift):
     rng = random.Random(19 + shift)
     for _ in range(10):
         images = _random_derivation(rng, alg, shift)
-        D = lambda e: extend_derivation(alg, images, e)  # noqa: E731
+        table = derivation_table(images)
+        D = lambda e: extend_derivation(alg, table, e)  # noqa: E731
         for g in alg.generators:
             assert D(alg.gen(g.name)) == images.get(g.id, alg.zero())
         for _ in range(20):
             dx = rng.randint(0, 4)
-            x = _random_homogeneous(rng, alg, dx)
-            y = _random_homogeneous(rng, alg, rng.randint(0, 4))
+            x = random_homogeneous(rng, alg, dx, scalar=SCALARS)
+            y = random_homogeneous(rng, alg, rng.randint(0, 4), scalar=SCALARS)
             assert D(x * y) == D(x) * y + (x * D(y)).scale((-1) ** dx)
 
 
@@ -278,4 +304,5 @@ def test_extend_derivation_matches_factorwise_leibniz():
                     top = 1 if g.square_zero else 7
                     term = term * alg.gen(g.name) ** rng.randint(0, top)
                 x = x + term
-            assert extend_derivation(alg, images, x) == _leibniz_by_factors(alg, images, x)
+            got = extend_derivation(alg, derivation_table(images), x)
+            assert got == _leibniz_by_factors(alg, images, x)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import sympy
 
-from sullivan.algebra import Algebra, extend_derivation, mul_monomials
+from sullivan.algebra import Algebra, derivation_table, extend_derivation, mul_monomials
 from sullivan.constructions import central_extension, loopify, strip_generator, y_free_part
 from sullivan.dgca import Presentation, _d_image, cohomology
 from sullivan.linalg import matrix_of
@@ -112,7 +112,9 @@ def test_shift_anticommutes_with_d_globally():
         loop = loopify(base)
         lp = loop.presentation
         alg = lp.algebra
-        shift = {alg.generator(g).id: alg.gen(s) for g, s in loop.shift_names.items()}
+        shift = derivation_table(
+            {alg.generator(g).id: alg.gen(s) for g, s in loop.shift_names.items()}
+        )
         rng = random.Random(103)
         base_gen_names = [g.name for g in base.algebra.generators]
         for _ in range(100):

@@ -24,6 +24,8 @@ from sullivan.constructions import (
 from sullivan.dgca import Presentation, closed_basis
 from sullivan.tduality import btfold, library_extensions, sphere_model
 
+from samples import random_homogeneous
+
 
 @pytest.fixture
 def p1_setup():
@@ -94,27 +96,17 @@ def test_shifted_complex_d():
     assert shifted_complex_d(bt, bt.algebra.gen("y3")) == bt.parse("xc2*xt2").scale(-1)
 
 
-def _random_homogeneous(rng, alg, degree, terms=3):
-    out = alg.zero()
-    basis = alg.monomial_basis(degree)
-    for _ in range(terms):
-        if not basis:
-            break
-        out = out + alg.monomial(rng.choice(basis), Fraction(rng.randint(-5, 5)))
-    return out
-
-
 def test_chain_map_and_projection_formula_randomized():
     rng = random.Random(41)
     for name, ext in library_extensions().items():
         total, base = ext.total, ext.base
         for _ in range(60):
-            omega = _random_homogeneous(rng, total.algebra, rng.randint(0, 8))
+            omega = random_homogeneous(rng, total.algebra, rng.randint(0, 8))
             lhs = shifted_complex_d(base, fiber_integration(ext, omega))
             rhs = fiber_integration(ext, total.apply_d(omega))
             assert lhs == rhs, name
             a_deg = rng.randint(0, 6)
-            a = _random_homogeneous(rng, base.algebra, a_deg)
+            a = random_homogeneous(rng, base.algebra, a_deg)
             lifted = ext.inclusion.apply(a)
             lhs2 = fiber_integration(ext, lifted * omega)
             rhs2 = (a * fiber_integration(ext, omega)).scale(-1 if a_deg % 2 else 1)

@@ -1,5 +1,7 @@
 """Field arithmetic: exactness, canonical form, parse/print round trips."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -50,6 +52,21 @@ def test_real_qi_scalars_are_fractions():
     for x in (QI.zero, QI.one, QI.fraction(2, 3), QI.coerce(5), QI.coerce(Fraction(1, 2))):
         assert type(x) is Fraction
     assert QI.coerce(gr(1, 2)) == gr(1, 2)
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_gaussian_copy_and_pickle(round_trip):
+    x = gr(1, 2)
+    y = round_trip(x)
+    assert type(y) is GaussianRational and y == x and hash(y) == hash(x)
+    row = {0: gr(Fraction(1, 3), -1), 3: Fraction(5, 7), 4: QI.imaginary_unit()}
+    out = round_trip(row)
+    assert out == row
+    assert [type(v) for v in out.values()] == [type(v) for v in row.values()]
 
 
 def test_coerce_rejects_junk():
