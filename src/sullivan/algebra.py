@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from math import lcm
 
+from .errors import SullivanError
 from .fields import QQ, GaussianRational
 
 EVEN = 0
@@ -37,7 +38,7 @@ ODD = 1
 PARITY_NAMES = {EVEN: "even", ODD: "odd"}
 
 
-class AlgebraError(ValueError):
+class AlgebraError(SullivanError):
     pass
 
 

@@ -9,10 +9,10 @@ File format (line oriented, '#' comments, blank lines ignored):
     let w = x4^2 + 3*x7  # optional named elements
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input or
-parse error.  Reports are plain text, stable-ordered, and byte-identical
-across runs for fixed inputs and seeds; pass --json for a machine-readable
-rendering.  Timings are printed only with --timings (they would break byte
-stability).
+parse error (every engine error is a ``SullivanError``).  Reports are plain
+text, stable-ordered, and byte-identical across runs for fixed inputs and
+seeds; pass --json for a machine-readable rendering.  Timings are printed
+only with --timings (they would break byte stability).
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import PARITY_NAMES, Algebra, AlgebraError
-from .constructions import ConstructionError, central_extension, cyclify
+from .algebra import PARITY_NAMES, Algebra
+from .constructions import central_extension, cyclify
 from .dgca import Presentation, PresentationError, cohomology
+from .errors import SullivanError
 from .fields import FIELDS
-from .parsing import ParseError, parse_element
+from .parsing import ParseError, is_name, parse_element
 from .report import Report
 from .tduality import (
     LIBRARY,
@@ -38,7 +39,7 @@ from .twisted import fm_inverse, fm_transform, random_twisted_cochain
 DEFAULT_SEED = 20140901
 
 
-class FileFormatError(ValueError):
+class FileFormatError(SullivanError):
     def __init__(self, message, line_no, column=None):
         # line_no None: the error has no place in a file
         if line_no is not None:
@@ -92,6 +93,8 @@ def load_algebra_text(text, *, verify=True) -> AlgebraFile:
             if len(bits) != 3:
                 raise FileFormatError("expected: gen <name> <degree> <even|odd>", line_no)
             name, degree_text, parity = bits
+            if not is_name(name):
+                raise FileFormatError(f"bad generator name {name!r}", line_no)
             if not degree_text.isdigit():
                 raise FileFormatError(f"bad degree {degree_text!r}", line_no)
             if parity not in ("even", "odd"):
@@ -166,7 +169,7 @@ def load_algebra_file(path, *, verify=True) -> AlgebraFile:
     return load_algebra_text(text, verify=verify)
 
 
-def dump_presentation(pres, elements=None) -> str:
+def dump_presentation(pres) -> str:
     """Render a presentation in the file format; round-trips through load."""
     lines = [f"field {pres.algebra.field.name}"]
     for g in pres.algebra.generators:
@@ -175,8 +178,6 @@ def dump_presentation(pres, elements=None) -> str:
         dg = pres.d_of_generator(g)
         if not dg.is_zero():
             lines.append(f"d {g.name} = {dg}")
-    for label, element in (elements or {}).items():
-        lines.append(f"let {label} = {element}")
     return "\n".join(lines) + "\n"
 
 
@@ -238,6 +239,8 @@ def cmd_hofib(args):
     report = Report(f"hofib {args.file} --cocycle {args.cocycle}")
     algfile = load_algebra_file(args.file)
     element = algfile.lookup(args.cocycle)
+    if args.name is not None and not is_name(args.name):
+        raise FileFormatError(f"bad generator name {args.name!r}", None)
     ext = central_extension(algfile.presentation, element, name=args.name)
     report.note(dump_presentation(ext.total).rstrip())
     report.add("extension passes d^2 = 0", ext.total.verify_d_squared() is None)
@@ -370,10 +373,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, ParseError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (AlgebraError, PresentationError, ConstructionError, ConfigError) as err:
+    except (OSError, SullivanError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

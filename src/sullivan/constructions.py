@@ -31,9 +31,10 @@ from .algebra import (
     transport,
 )
 from .dgca import Morphism, Presentation, inclusion
+from .errors import SullivanError
 
 
-class ConstructionError(ValueError):
+class ConstructionError(SullivanError):
     pass
 
 
@@ -46,11 +47,12 @@ def _fresh_name(base, taken):
     return f"{base}_{k}"
 
 
-def _extend_algebra(pres, new_gens, new_diffs, name=None):
-    """New presentation: the old generators plus new ones appended at the end.
+def _extend_algebra(pres, new_gens):
+    """The old generators plus new ones appended at the end.
 
-    new_diffs values are Elements of the OLD algebra (re-expressed in the new
-    one) or Elements of the new algebra.
+    Returns (algebra, diffs): the new algebra, and the old differentials
+    carried over into it, keyed by generator name, to which the caller adds
+    the new generators' differentials before building one Presentation.
     """
     old = pres.algebra
     gens = [(g.name, g.degree, g.parity) for g in old.generators]
@@ -66,11 +68,7 @@ def _extend_algebra(pres, new_gens, new_diffs, name=None):
         dg = pres.d_of_generator(g)
         if not dg.is_zero():
             diffs[g.name] = transport(dg, algebra)
-    for gname, value in new_diffs.items():
-        if value is None or value.is_zero():
-            continue
-        diffs[gname] = transport(value, algebra)
-    return Presentation(algebra, diffs, name=name)
+    return algebra, diffs
 
 
 class CentralExtension:
@@ -112,13 +110,10 @@ def central_extension(pres, cocycle, name=None, degree=None) -> CentralExtension
     if not residual.is_zero():
         raise ConstructionError(f"classifying cocycle is not closed: d c = {residual}")
     gen_name = name or _fresh_name(f"y{deg - 1}", {g.name for g in pres.algebra.generators})
-    total = _extend_algebra(
-        pres,
-        [(gen_name, deg - 1, EVEN)],
-        {gen_name: cocycle},
-        name=(pres.name or "g") + f"[{gen_name}]",
-    )
-    new_gen = total.algebra.generator(gen_name)
+    algebra, diffs = _extend_algebra(pres, [(gen_name, deg - 1, EVEN)])
+    diffs[gen_name] = transport(cocycle, algebra)
+    total = Presentation(algebra, diffs, name=(pres.name or "g") + f"[{gen_name}]")
+    new_gen = algebra.generator(gen_name)
     incl = inclusion(pres, total, name="inclusion")
     return CentralExtension(pres, cocycle, total, new_gen, incl)
 
@@ -165,7 +160,7 @@ class LoopAlgebra:
         self.shift_names = shift_names  # base gen name -> shifted gen name
 
 
-def loopify(pres, name=None) -> LoopAlgebra:
+def loopify(pres) -> LoopAlgebra:
     """Adjoin a shifted copy s g (degree - 1, same parity) of every generator.
 
     d extends the base differential by d(s g) = -s(d g)."""
@@ -190,14 +185,13 @@ def loopify(pres, name=None) -> LoopAlgebra:
         taken.add(sname)
         shift_names[g.name] = sname
         new_gens.append((sname, g.degree - 1, g.parity))
-    extended = _extend_algebra(pres, new_gens, {}, name=name or f"L({pres.name or 'g'})")
-    alg = extended.algebra
+    alg, diffs = _extend_algebra(pres, new_gens)
     # s on generators: g |-> s g, and s(s g) = 0
     shift = derivation_table({g.id: alg.gen(shift_names[g.name]) for g in base_gens})
-    diffs = {g.name: extended.d_of_generator(g.name) for g in base_gens}
     for g in base_gens:
-        diffs[shift_names[g.name]] = -extend_derivation(alg, shift, diffs[g.name])
-    looped = Presentation(alg, diffs, name=name or f"L({pres.name or 'g'})")
+        if g.name in diffs:
+            diffs[shift_names[g.name]] = -extend_derivation(alg, shift, diffs[g.name])
+    looped = Presentation(alg, diffs, name=f"L({pres.name or 'g'})")
     return LoopAlgebra(pres, looped, shift_names)
 
 
@@ -216,25 +210,23 @@ class Cyclification:
         return self.presentation.algebra.gen(self.cocycle_name)
 
 
-def cyclify(pres, name=None, cocycle_name=None) -> Cyclification:
+def cyclify(pres) -> Cyclification:
     """The cyclification: loop generators plus a degree-2 even class w2.
 
     On original generators d becomes d_L g + w2 * s g; on shifted generators
     d(s g) = -s(d g) as in the loop algebra; d w2 = 0."""
     loop = loopify(pres)
     lp = loop.presentation
-    taken = {g.name for g in lp.algebra.generators}
-    wname = cocycle_name or _fresh_name("w2", taken)
-    extended = _extend_algebra(lp, [(wname, 2, EVEN)], {}, name=name or f"cyc({pres.name or 'g'})")
-    alg = extended.algebra
+    wname = _fresh_name("w2", {g.name for g in lp.algebra.generators})
+    alg, loop_diffs = _extend_algebra(lp, [(wname, 2, EVEN)])
     w = alg.gen(wname)
-    diffs = {}
-    for g in pres.algebra.generators:
-        diffs[g.name] = extended.d_of_generator(g.name) + w * alg.gen(loop.shift_names[g.name])
-    for sname in loop.shift_names.values():
-        # s(s g) = 0, so the w2-term vanishes on shifted generators
-        diffs[sname] = extended.d_of_generator(sname)
-    cyc = Presentation(alg, diffs, name=name or f"cyc({pres.name or 'g'})")
+    diffs = {
+        g.name: loop_diffs.pop(g.name, alg.zero()) + w * alg.gen(loop.shift_names[g.name])
+        for g in pres.algebra.generators
+    }
+    # s(s g) = 0, so the w2-term vanishes on shifted generators
+    diffs.update(loop_diffs)
+    cyc = Presentation(alg, diffs, name=f"cyc({pres.name or 'g'})")
     cyc.ensure_d_squared()
     return Cyclification(pres, cyc, dict(loop.shift_names), wname)
 

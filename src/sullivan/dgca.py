@@ -15,17 +15,18 @@ verified on demand, with the result cached.
 from __future__ import annotations
 
 from .algebra import Algebra, Element, derivation_table, extend_derivation, relabel
+from .errors import SullivanError
 from .linalg import homology, kernel_basis, matrix_of
 from .parsing import parse_element
 
 
-class PresentationError(ValueError):
+class PresentationError(SullivanError):
     def __init__(self, message, generator=None):
         super().__init__(message)
         self.generator = generator  # the generator whose d is at fault, if known
 
 
-class MorphismError(ValueError):
+class MorphismError(SullivanError):
     pass
 
 

@@ -1,21 +1,23 @@
 """Exact coefficient fields: the rationals Q and the Gaussian rationals Q(i).
 
 Every coefficient in the engine is an exact field element; no floating point
-is used anywhere.  The two concrete fields are exposed as the singletons
-``QQ`` and ``QI``.  A field object knows how to coerce its scalars; the
-scalars themselves are immutable and hashable.  A real scalar is a
-``fractions.Fraction`` in both fields, and a Q(i) scalar with nonzero
-imaginary part is a ``GaussianRational``, so real arithmetic over Q(i) runs
-on ``Fraction`` alone.  Scalar text is read and written by ``parsing``, in
-the grammar of elements.
+is used anywhere.  One class, ``Field``, has the two instances ``QQ`` and
+``QI``, which differ only in whether i is a scalar.  A field object knows
+how to coerce its scalars; the scalars themselves are immutable and
+hashable.  A real scalar is a ``fractions.Fraction`` in both fields, and a
+Q(i) scalar with nonzero imaginary part is a ``GaussianRational``, so real
+arithmetic over Q(i) runs on ``Fraction`` alone.  Scalar text is read and
+written by ``parsing``, in the grammar of elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import SullivanError
 
-class FieldError(ValueError):
+
+class FieldError(SullivanError):
     pass
 
 
@@ -135,14 +137,17 @@ class GaussianRational:
 _I = GaussianRational(0, 1)
 
 
-class RationalField:
-    """The field Q, with scalars represented by fractions.Fraction."""
-
-    name = "Q"
-    has_imaginary_unit = False
+class Field:
+    """Q or Q(i).  A real scalar is a ``Fraction`` in both; Q(i) also holds
+    the ``GaussianRational``s.  ``name`` is the tag of the file format's
+    ``field`` directive."""
 
     zero = Fraction(0)
     one = Fraction(1)
+
+    def __init__(self, name, has_imaginary_unit):
+        self.name = name
+        self.has_imaginary_unit = has_imaginary_unit
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -150,57 +155,29 @@ class RationalField:
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, GaussianRational):
+            if self.has_imaginary_unit:
+                return x
             raise FieldError(f"cannot coerce {x} into Q: nonzero imaginary part")
-        raise FieldError(f"cannot coerce {x!r} into Q")
-
-    def is_real(self, x) -> bool:
-        self.coerce(x)
-        return True
-
-    def fraction(self, p, q=1):
-        if q == 0:
-            raise ZeroDivisionError("zero denominator")
-        return Fraction(p, q)
-
-    def imaginary_unit(self):
-        raise FieldError("Q has no imaginary unit")
-
-    def __repr__(self):
-        return "QQ"
-
-
-class GaussianRationalField:
-    """The field Q(i): real scalars are Fractions, the rest GaussianRationals."""
-
-    name = "Qi"
-    has_imaginary_unit = True
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, x):
-        if isinstance(x, (Fraction, GaussianRational)):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise FieldError(f"cannot coerce {x!r} into Q(i)")
+        raise FieldError(f"cannot coerce {x!r} into {'Q(i)' if self.has_imaginary_unit else 'Q'}")
 
     def is_real(self, x) -> bool:
         return not isinstance(self.coerce(x), GaussianRational)
 
-    def fraction(self, p, q=1):
+    def fraction(self, p, q):
         if q == 0:
             raise ZeroDivisionError("zero denominator")
         return Fraction(p, q)
 
     def imaginary_unit(self):
+        if not self.has_imaginary_unit:
+            raise FieldError("Q has no imaginary unit")
         return _I
 
     def __repr__(self):
-        return "QI"
+        return "QI" if self.has_imaginary_unit else "QQ"
 
 
-QQ = RationalField()
-QI = GaussianRationalField()
+QQ = Field("Q", False)
+QI = Field("Qi", True)
 
 FIELDS = {"Q": QQ, "Qi": QI}

@@ -17,10 +17,11 @@ import re
 from fractions import Fraction
 
 from .algebra import Element, mul_monomials
+from .errors import SullivanError
 from .fields import GaussianRational
 
 
-class ParseError(ValueError):
+class ParseError(SullivanError):
     """Syntax or semantic error in an element expression, with position."""
 
     def __init__(self, message, position):
@@ -28,9 +29,15 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+\-*/^]))"
-)
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_NAME_RE = re.compile(_NAME)
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<name>{_NAME})|(?P<op>[+\-*/^]))")
+
+
+def is_name(text) -> bool:
+    """Whether text is one NAME token: the only generator names that the
+    grammar can read back."""
+    return _NAME_RE.fullmatch(text) is not None
 
 
 def tokenize(text):

@@ -26,11 +26,12 @@ from .constructions import (
     extension_fiber_product,
 )
 from .dgca import Morphism, Presentation
+from .errors import SullivanError
 from .fields import QQ
 from .twisted import FMQuintuple
 
 
-class ConfigError(ValueError):
+class ConfigError(SullivanError):
     pass
 
 

@@ -26,10 +26,11 @@ from .constructions import (
     strip_generator,
 )
 from .dgca import Morphism, Presentation, inclusion
+from .errors import SullivanError
 from .linalg import homology
 
 
-class TwistError(ValueError):
+class TwistError(SullivanError):
     pass
 
 
@@ -58,10 +59,8 @@ class TwistedCochain:
         self.components = comps
 
     @staticmethod
-    def single(presentation, power, element, degree=None):
-        if degree is None:
-            degree = element.degree() + 2 * power
-        return TwistedCochain(presentation, degree, {power: element})
+    def single(presentation, power, element):
+        return TwistedCochain(presentation, element.degree() + 2 * power, {power: element})
 
     def is_zero(self):
         return not self.components
@@ -170,43 +169,39 @@ def twisted_d(twist: TwistSpec, cochain: TwistedCochain) -> TwistedCochain:
     return twisted_d_raw(twist.presentation, twist.a, cochain)
 
 
-def nilpotency_order(element, cap=64):
-    """Smallest j with element^j = 0, or None if not reached within cap."""
-    power = element.algebra.one()
-    for j in range(1, cap + 1):
-        power = power * element
-        if power.is_zero():
-            return j
-    return None
-
-
-def gauge_transform(b, cochain: TwistedCochain, cap=64) -> TwistedCochain:
+def gauge_transform(b, cochain: TwistedCochain) -> TwistedCochain:
     """Multiplication by e^{u^{-1} b} = sum_j u^{-j} b^j / j!.
 
-    Requires b nilpotent (guaranteed for kernels built from square-zero
-    extension generators); otherwise the series would not terminate on a
-    polynomial-type class and an error is raised."""
+    b is nilpotent exactly when each of its monomials has a square-zero
+    factor.  Modulo the square-zero generators the algebra is a polynomial
+    ring, which has no nilpotents; and a product of more than N monomials of
+    b, N the number of square-zero generators in b, repeats one of them, so
+    b^(N+1) = 0.  A b with a monomial of polynomial-type generators alone is
+    refused; otherwise the series stops at the first vanishing power."""
     pres = cochain.presentation
-    if b.algebra is not pres.algebra:
+    alg = pres.algebra
+    if b.algebra is not alg:
         raise TwistError("gauge kernel lives in the wrong algebra")
     if not b.is_zero() and (not b.is_homogeneous() or b.bidegree() != (2, EVEN)):
         raise TwistError("gauge kernel must be homogeneous of bidegree (2, even)")
-    order = nilpotency_order(b, cap) if not b.is_zero() else 1
-    if order is None:
+    gens = alg.generators
+    if not all(any(gens[gid].square_zero for gid, _ in mono) for mono in b.terms):
         raise TwistError(
             "gauge kernel is not nilpotent: e^{u^{-1} b} is an infinite series"
         )
     result = cochain
-    power = pres.algebra.one()
-    for j in range(1, order):
-        power = power * b
-        coeff = pres.algebra.field.fraction(1, math.factorial(j))
+    power = b
+    j = 1
+    while not power.is_zero():
+        coeff = alg.field.fraction(1, math.factorial(j))
         comps = {}
         for m, e in cochain.components.items():
             term = (power * e).scale(coeff)
             if not term.is_zero():
                 comps[m - j] = comps[m - j] + term if m - j in comps else term
         result = result + TwistedCochain(pres, cochain.degree, comps)
+        power = power * b
+        j += 1
     return result
 
 
@@ -335,7 +330,7 @@ def fm_inverse(q: FMQuintuple, cochain: TwistedCochain) -> TwistedCochain:
     return fm_transform(q.reversed(), cochain).u_times()
 
 
-def compose_fm(q: FMQuintuple, qt: FMQuintuple, rename=None) -> FMQuintuple:
+def compose_fm(q: FMQuintuple, qt: FMQuintuple) -> FMQuintuple:
     """The quintuple of the composite transform Phi_{qt} o Phi_q.
 
     Requires q.side2 and qt.side1 to be the same presentation with the same
@@ -351,14 +346,11 @@ def compose_fm(q: FMQuintuple, qt: FMQuintuple, rename=None) -> FMQuintuple:
     new_gens = []
     for g in qt.fiber1:
         gen = qt.total.algebra.generators[g.id]
-        fresh = rename(gen.name) if rename else _fresh_name(gen.name, total_names)
-        if fresh in total_names:
-            raise TwistError(f"generator name collision: {fresh!r}")
+        fresh = _fresh_name(gen.name, total_names)
         total_names.add(fresh)
         fresh_of[gen] = fresh
         new_gens.append((fresh, gen.degree, gen.parity))
-    placeholder = _extend_algebra(q.total, new_gens, {}, name="fm-composite")
-    alg = placeholder.algebra
+    alg, diffs = _extend_algebra(q.total, new_gens)
 
     # lambda: CE(qt.total) -> CE(new total) on generator ids: shared-side gens
     # map through qt.incl1^{-1} then q.incl2; qt fiber gens map to their copies
@@ -367,7 +359,6 @@ def compose_fm(q: FMQuintuple, qt: FMQuintuple, rename=None) -> FMQuintuple:
     for gid, tid in qt.incl1.generator_ids.items():
         lam[tid] = alg.generator(q.total.algebra.generators[to_q_total[gid]].name).id
 
-    diffs = {alg.generators[gid].name: dg for gid, dg in placeholder.differentials.items()}
     for gen, fresh in fresh_of.items():
         diffs[fresh] = relabel(qt.total.d_of_generator(gen), alg, lam)
     new_total = Presentation(alg, diffs, name="fm-composite")
@@ -448,12 +439,13 @@ def _twisted_basis(presentation, total_degree, window):
     ]
 
 
-def random_twisted_cochain(rng, presentation, total_degree, window, max_terms=3):
-    """A sparse random even cochain with component degrees within the window."""
+def random_twisted_cochain(rng, presentation, total_degree, window):
+    """A sparse random even cochain of up to three terms, with component
+    degrees within the window."""
     alg = presentation.algebra
     powers = _window_powers(total_degree, window)
     comps = {}
-    for _ in range(max_terms):
+    for _ in range(3):
         m = rng.choice(powers)  # the same draw as rng.randint(powers[0], powers[-1])
         basis = alg.monomial_basis(total_degree - 2 * m, EVEN)
         if basis:

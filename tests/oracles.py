@@ -4,6 +4,8 @@ They are slower than the engine on purpose: each follows the textbook
 definition step by step, on the `linalg` primitives that tests/test_linalg.py
 checks against sympy."""
 
+import math
+
 from sullivan.algebra import Element, mul_monomials
 from sullivan.linalg import kernel_basis, matrix_of, reduce_against, row_reduce
 from sullivan.twisted import TwistedCochain, _twisted_basis, twisted_d_raw
@@ -119,3 +121,37 @@ def extend_derivation(algebra, images, element):
                         acc[m_all] = c if prev is None else prev + c
             prefix_degree += exp * gen.degree
     return Element(algebra, {m: c for m, c in acc.items() if c})
+
+
+# the capped loop that sullivan.twisted.gauge_transform replaced by the exact
+# nilpotency rule
+def nilpotency_order(element, cap):
+    """Smallest j with element^j = 0, or None if not reached within cap."""
+    power = element.algebra.one()
+    for j in range(1, cap + 1):
+        power = power * element
+        if power.is_zero():
+            return j
+    return None
+
+
+def gauge_series(b, cochain, cap):
+    """e^{u^{-1} b} * cochain = sum_j u^{-j} b^j / j! * cochain, summed up to
+    the first vanishing power of b; None when no power up to b^cap
+    vanishes."""
+    pres = cochain.presentation
+    order = nilpotency_order(b, cap) if not b.is_zero() else 1
+    if order is None:
+        return None
+    result = cochain
+    power = pres.algebra.one()
+    for j in range(1, order):
+        power = power * b
+        coeff = pres.algebra.field.fraction(1, math.factorial(j))
+        comps = {}
+        for m, e in cochain.components.items():
+            term = (power * e).scale(coeff)
+            if not term.is_zero():
+                comps[m - j] = comps[m - j] + term if m - j in comps else term
+        result = result + TwistedCochain(pres, cochain.degree, comps)
+    return result

@@ -1,9 +1,10 @@
-"""Seeded random homogeneous elements, shared by the tests so that a seed
-draws the same elements wherever it is used."""
+"""Seeded random elements and twisted cochains, shared by the tests so that
+a seed draws the same inputs wherever it is used."""
 
 from fractions import Fraction
 
-from sullivan.fields import GaussianRational
+from sullivan.fields import QI, GaussianRational
+from sullivan.twisted import TwistedCochain
 
 
 def integers(bound):
@@ -35,3 +36,35 @@ def random_homogeneous(rng, alg, degree, terms=3, scalar=integers(5), parity=Non
             break
         out = out + alg.monomial(rng.choice(basis), scalar(rng))
     return out
+
+
+def random_element(rng, alg):
+    """A sum of up to four monomials of degrees drawn from 0..6, of either
+    parity, so in general inhomogeneous; coefficients k + l*i with k in
+    -4..4, and l in -2..2 over Q(i) only."""
+    field = alg.field
+    out = alg.zero()
+    for _ in range(4):
+        basis = alg.monomial_basis(rng.randint(0, 6))
+        if basis:
+            coeff = field.coerce(rng.randint(-4, 4))
+            if field is QI:
+                coeff = coeff + QI.imaginary_unit() * rng.randint(-2, 2)
+            out = out + alg.monomial(rng.choice(basis), coeff)
+    return out
+
+
+def random_cochain(rng, pres, k, window=8):
+    """A twisted cochain of total degree k with up to three terms, each an
+    even monomial of component degree within 0..window and a coefficient in
+    -5..5."""
+    comps = {}
+    m_min = -((window - k) // 2)
+    for _ in range(3):
+        m = rng.randint(m_min, k // 2)
+        basis = pres.algebra.monomial_basis(k - 2 * m, 0)
+        if not basis:
+            continue
+        e = pres.algebra.monomial(rng.choice(basis), Fraction(rng.randint(-5, 5)))
+        comps[m] = comps[m] + e if m in comps else e
+    return TwistedCochain(pres, k, {m: e for m, e in comps.items() if not e.is_zero()})

@@ -6,13 +6,17 @@ import sys
 
 import pytest
 
+from sullivan import cli
 from sullivan.cli import (
     FileFormatError,
     dump_presentation,
     load_algebra_text,
     main,
 )
+from sullivan.dgca import MorphismError
+from sullivan.fields import FieldError
 from sullivan.tduality import LIBRARY, library_presentation
+from sullivan.twisted import TwistError
 
 LS4 = """\
 field Q
@@ -145,12 +149,17 @@ def test_wide_algebra_cohomology_without_traceback(tmp_path):
         ("gen x2 2 even\nlet w = x2\nlet w = x2^2\n", ["check", "@"], ["line 2", "(line 3)"]),
         # a let label may not take a generator's name
         ("gen x2 2 even\nlet x2 = 5*x2\n", ["hofib", "@", "--cocycle", "x2"], ["(line 2)"]),
+        # a generator name that the element grammar cannot read back
+        ("field Q\ngen y^2 3 even\nlet w = y^2\n", ["check", "@"], ["(line 2)"]),
         # neither a --cocycle label nor a missing library name is a file line
         (LS4, ["hofib", "@", "--cocycle", "nosuch"], []),
         (None, ["library", "dump"], []),
+        # nor is a --name outside the grammar
+        (LS4, ["hofib", "@", "--cocycle", "x4", "--name", "y 1"], []),
     ],
     ids=["duplicate-gen", "bad-bidegree", "inhomogeneous-d", "d-squared", "repeated-d",
-         "repeated-let", "let-shadows-generator", "unknown-cocycle", "dump-without-name"],
+         "repeated-let", "let-shadows-generator", "unreadable-gen-name", "unknown-cocycle",
+         "dump-without-name", "unreadable-hofib-name"],
 )
 def test_input_errors_name_their_line(tmp_path, capsys, text, argv, places):
     f = tmp_path / "input.alg"
@@ -164,6 +173,22 @@ def test_input_errors_name_their_line(tmp_path, capsys, text, argv, places):
         assert place in err
     if not places:
         assert "line" not in err
+
+
+@pytest.mark.parametrize(
+    "error", [MorphismError, TwistError, FieldError], ids=lambda e: e.__name__
+)
+def test_every_engine_error_exits_two(tmp_path, capsys, monkeypatch, error):
+    def cmd_check(args):
+        raise error("raised inside a command")
+
+    monkeypatch.setattr(cli, "cmd_check", cmd_check)
+    f = tmp_path / "ls4.alg"
+    f.write_text(LS4)
+    assert main(["check", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: raised inside a command\n"
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,8 @@ from sullivan.dgca import (
 from sullivan.fields import QI, QQ
 from sullivan.tduality import btfold, contractible, library_presentation, sphere_model
 
+from samples import random_element
+
 
 @pytest.fixture
 def ls4():
@@ -189,19 +191,6 @@ def test_representatives_independent_mod_exact():
     assert names == ["xc2", "xt2"]
 
 
-def _random_element(rng, alg, terms=4):
-    field = alg.field
-    out = alg.zero()
-    for _ in range(terms):
-        basis = alg.monomial_basis(rng.randint(0, 6))
-        if basis:
-            coeff = field.coerce(rng.randint(-4, 4))
-            if field is QI:
-                coeff = coeff + QI.imaginary_unit() * rng.randint(-2, 2)
-            out = out + alg.monomial(rng.choice(basis), coeff)
-    return out
-
-
 def _product_of_images(morphism, element):
     """Oracle: each monomial as a product of generator images through
     Element.__mul__, one factor at a time."""
@@ -236,7 +225,7 @@ def test_generator_map_apply_matches_product_of_images(field):
             g.id: target.algebra.generator(g.name).id for g in source.algebra.generators
         }
         for _ in range(10):
-            e = _random_element(rng, source.algebra)
+            e = random_element(rng, source.algebra)
             image = m.apply(e)
             assert image == _product_of_images(m, e)
             ids = m.generator_ids
@@ -255,7 +244,7 @@ def test_non_generator_maps_keep_the_product_path():
     scaled = Morphism(source, target, {"x2": t.gen("x2").scale(2), "y3": "y3", "p1": "p1"})
     assert scaled.generator_ids is None
     for _ in range(20):
-        e = _random_element(rng, source.algebra)
+        e = random_element(rng, source.algebra)
         assert scaled.apply(e) == _product_of_images(scaled, e)
 
     # a generator sent to a generator of another bidegree

@@ -1,5 +1,6 @@
-"""Rules the engine's source keeps: no floating point anywhere, and every
-name the traced benchmark wraps still exists."""
+"""Rules the engine's source keeps: no floating point anywhere, one root for
+the errors that bad input raises, and every name the traced benchmark wraps
+still exists."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sullivan
+from sullivan.errors import SullivanError
 
 SOURCES = sorted(Path(sullivan.__file__).parent.glob("*.py"))
 
@@ -32,6 +34,24 @@ def test_rule_sees_floats():
 def test_no_floats_in_source(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert list(_float_uses(tree)) == []
+
+
+def test_engine_errors_share_one_root():
+    # the command line catches SullivanError in one clause; CliffordError
+    # signals a broken internal invariant, not bad input
+    errors = {}
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"sullivan.{path.stem}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and name.endswith("Error"):
+                if obj.__module__ == module.__name__:
+                    errors[name] = obj
+    assert len(errors) >= 11
+    assert [n for n, e in sorted(errors.items()) if not issubclass(e, SullivanError)] == [
+        "CliffordError"
+    ]
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -18,7 +18,6 @@ from sullivan.twisted import (
     fm_inverse,
     fm_transform,
     gauge_transform,
-    nilpotency_order,
     restrict_through,
     twisted_cohomology,
     twisted_d,
@@ -26,19 +25,7 @@ from sullivan.twisted import (
 )
 
 from oracles import truncated_twisted_cohomology
-
-
-def random_cochain(rng, pres, k, window=8, terms=3):
-    comps = {}
-    m_min = -((window - k) // 2)
-    for _ in range(terms):
-        m = rng.randint(m_min, k // 2)
-        basis = pres.algebra.monomial_basis(k - 2 * m, 0)
-        if not basis:
-            continue
-        e = pres.algebra.monomial(rng.choice(basis), Fraction(rng.randint(-5, 5)))
-        comps[m] = comps[m] + e if m in comps else e
-    return TwistedCochain(pres, k, {m: e for m, e in comps.items() if not e.is_zero()})
+from samples import random_cochain
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +94,6 @@ def test_twisted_d_square_measures_da():
 def test_gauge_transform_nilpotent_kernel(tfold_q):
     total = tfold_q.total
     b = total.parse("yc1*yt1")
-    assert nilpotency_order(b) == 2
     one = TwistedCochain(total, 0, {0: total.algebra.one()})
     g = gauge_transform(b, one)
     assert g.components == {-1: b, 0: total.algebra.one()}
@@ -126,7 +112,7 @@ def test_gauge_transform_non_nilpotent_rejected():
     bt = btfold()
     w = TwistedCochain(bt, 0, {0: bt.algebra.one()})
     with pytest.raises(TwistError):
-        gauge_transform(bt.algebra.gen("xc2"), w, cap=16)
+        gauge_transform(bt.algebra.gen("xc2"), w)
 
 
 def test_gauge_intertwines_twists(tfold_q):
