@@ -27,6 +27,7 @@ sparse sums of monomials with exact field coefficients.
 
 from __future__ import annotations
 
+import re
 from math import lcm
 
 from .errors import SullivanError
@@ -36,6 +37,10 @@ EVEN = 0
 ODD = 1
 
 PARITY_NAMES = {EVEN: "even", ODD: "odd"}
+
+# the NAME token of the element grammar (sullivan.parsing)
+NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_NAME_RE = re.compile(NAME)
 
 
 class AlgebraError(SullivanError):
@@ -70,6 +75,15 @@ class Generator:
         return f"Generator({self.name!r}, degree={self.degree}, parity={PARITY_NAMES[self.parity]})"
 
 
+def is_generator_name(name, field) -> bool:
+    """Whether name can name a generator over field: one NAME token, so
+    that the element grammar reads it back, and not the imaginary unit `i`
+    of a field that has one."""
+    return _NAME_RE.fullmatch(name) is not None and not (
+        name == "i" and field.has_imaginary_unit
+    )
+
+
 class Algebra:
     """A free bigraded commutative algebra on an ordered list of generators."""
 
@@ -79,6 +93,8 @@ class Algebra:
         by_name = {}
         for i, spec in enumerate(generators):
             name, degree, parity = spec
+            if not is_generator_name(name, field):
+                raise AlgebraError(f"bad generator name {name!r}")
             parity = parity_from_name(parity)
             if not isinstance(degree, int) or degree < 0:
                 raise AlgebraError(f"generator {name!r}: degree must be an integer >= 0")
@@ -282,28 +298,16 @@ class Element:
     def monomials(self):
         return sorted(self.terms, key=self.algebra.monomial_key)
 
-    def is_homogeneous(self):
-        bidegs = {
-            (self.algebra.monomial_degree(m), self.algebra.monomial_parity(m))
-            for m in self.terms
-        }
-        return len(bidegs) <= 1
-
-    def degree(self):
-        """Z-degree of a homogeneous nonzero element."""
-        degs = {self.algebra.monomial_degree(m) for m in self.terms}
-        if len(degs) != 1:
-            raise AlgebraError("degree undefined: element is zero or inhomogeneous")
-        return degs.pop()
-
-    def parity(self):
-        pars = {self.algebra.monomial_parity(m) for m in self.terms}
-        if len(pars) != 1:
-            raise AlgebraError("parity undefined: element is zero or inhomogeneous")
-        return pars.pop()
-
     def bidegree(self):
-        return (self.degree(), self.parity())
+        """(Z-degree, parity) of a homogeneous nonzero element; None for zero
+        or for an inhomogeneous element."""
+        alg = self.algebra
+        bidegs = {(alg.monomial_degree(m), alg.monomial_parity(m)) for m in self.terms}
+        return bidegs.pop() if len(bidegs) == 1 else None
+
+    def is_homogeneous(self):
+        """Zero counts as homogeneous."""
+        return not self.terms or self.bidegree() is not None
 
     def homogeneous_parts(self):
         """Split into (degree, parity) -> homogeneous Element."""

@@ -20,12 +20,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import PARITY_NAMES, Algebra
+from .algebra import PARITY_NAMES, Algebra, is_generator_name
 from .constructions import central_extension, cyclify
 from .dgca import Presentation, PresentationError, cohomology
 from .errors import SullivanError
 from .fields import FIELDS
-from .parsing import ParseError, is_name, parse_element
+from .parsing import ParseError, parse_element
 from .report import Report
 from .tduality import (
     LIBRARY,
@@ -50,6 +50,17 @@ class FileFormatError(SullivanError):
         self.column = column
 
 
+class DSquaredError(FileFormatError):
+    """A well-formed file whose differential has d^2 != 0 at `generator`."""
+
+    def __init__(self, error, line_no, generator_count):
+        self.generator, self.residual = error.generator, error.residual
+        super().__init__(
+            f"d^2 != 0 at generator {self.generator.name}: residual = {self.residual}", line_no
+        )
+        self.generator_count = generator_count
+
+
 class AlgebraFile:
     """A parsed algebra definition: presentation plus named elements."""
 
@@ -70,7 +81,10 @@ class AlgebraFile:
             ) from err
 
 
-def load_algebra_text(text, *, verify=True) -> AlgebraFile:
+def load_algebra_text(text) -> AlgebraFile:
+    """Parse the file format.  Every line is read and checked before the
+    presentation is built, so malformed input is reported ahead of a d^2
+    failure (DSquaredError)."""
     field_tag = None
     gen_specs = []
     gen_lines = {}  # name -> line of its gen directive
@@ -93,8 +107,6 @@ def load_algebra_text(text, *, verify=True) -> AlgebraFile:
             if len(bits) != 3:
                 raise FileFormatError("expected: gen <name> <degree> <even|odd>", line_no)
             name, degree_text, parity = bits
-            if not is_name(name):
-                raise FileFormatError(f"bad generator name {name!r}", line_no)
             if not degree_text.isdigit():
                 raise FileFormatError(f"bad degree {degree_text!r}", line_no)
             if parity not in ("even", "odd"):
@@ -127,6 +139,9 @@ def load_algebra_text(text, *, verify=True) -> AlgebraFile:
             raise FileFormatError(f"unknown directive {directive!r}", line_no)
     if field_tag is None:
         field_tag = "Q"
+    for name, line_no in gen_lines.items():  # the field may come after the gen lines
+        if not is_generator_name(name, FIELDS[field_tag]):
+            raise FileFormatError(f"bad generator name {name!r}", line_no)
     algebra = Algebra(gen_specs, FIELDS[field_tag])
     diffs = {}
     for name, (line_no, expr) in d_lines.items():
@@ -136,17 +151,6 @@ def load_algebra_text(text, *, verify=True) -> AlgebraFile:
             diffs[name] = parse_element(expr, algebra)
         except ParseError as err:
             raise FileFormatError(str(err), line_no, err.position) from err
-    try:
-        pres = Presentation(algebra, diffs)
-    except PresentationError as err:
-        raise FileFormatError(str(err), d_lines[err.generator.name][0]) from err
-    if verify:
-        bad = pres.verify_d_squared()
-        if bad is not None:
-            gen, residual = bad
-            raise FileFormatError(
-                f"d^2 != 0 at generator {gen.name}: residual = {residual}", d_lines[gen.name][0]
-            )
     elements = {}
     for label, (line_no, expr) in let_lines.items():
         if label in algebra.by_name:
@@ -155,10 +159,17 @@ def load_algebra_text(text, *, verify=True) -> AlgebraFile:
             elements[label] = parse_element(expr, algebra)
         except ParseError as err:
             raise FileFormatError(str(err), line_no, err.position) from err
+    try:
+        pres = Presentation(algebra, diffs)
+    except PresentationError as err:
+        line_no = d_lines[err.generator.name][0]
+        if err.residual is None:
+            raise FileFormatError(str(err), line_no) from err
+        raise DSquaredError(err, line_no, len(algebra.generators)) from err
     return AlgebraFile(pres, elements, field_tag)
 
 
-def load_algebra_file(path, *, verify=True) -> AlgebraFile:
+def load_algebra_file(path) -> AlgebraFile:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -166,7 +177,7 @@ def load_algebra_file(path, *, verify=True) -> AlgebraFile:
     except UnicodeDecodeError as err:
         line_no = data.count(b"\n", 0, err.start) + 1
         raise FileFormatError("file is not valid UTF-8", line_no) from err
-    return load_algebra_text(text, verify=verify)
+    return load_algebra_text(text)
 
 
 def dump_presentation(pres) -> str:
@@ -202,16 +213,15 @@ def cmd_check(args):
     # degree/parity violations are input errors (exit 2); a failing d^2 is a
     # mathematical failure and reports the residual (exit 1)
     report = Report(f"check {args.file}")
-    algfile = load_algebra_file(args.file, verify=False)
-    pres = algfile.presentation
-    report.note(f"generators: {len(pres.algebra.generators)}")
+    try:
+        count = len(load_algebra_file(args.file).presentation.algebra.generators)
+        failure = ""
+    except DSquaredError as err:
+        count = err.generator_count
+        failure = f"d(d {err.generator.name}) = {err.residual}"
+    report.note(f"generators: {count}")
     report.add("degree and parity constraints", True)
-    bad = pres.verify_d_squared()
-    if bad is None:
-        report.add("d^2 = 0 on every generator", True)
-    else:
-        gen, residual = bad
-        report.add("d^2 = 0 on every generator", False, f"d(d {gen.name}) = {residual}")
+    report.add("d^2 = 0 on every generator", not failure, failure)
     return _finish(report, args)
 
 
@@ -231,7 +241,7 @@ def cmd_cyclify(args):
     cyc = cyclify(algfile.presentation)
     report.note(dump_presentation(cyc.presentation).rstrip())
     report.note(f"canonical 2-cocycle: {cyc.cocycle_name}")
-    report.add("cyclification passes d^2 = 0", cyc.presentation.verify_d_squared() is None)
+    report.add("cyclification passes d^2 = 0", True)  # a Presentation has d^2 = 0
     return _finish(report, args)
 
 
@@ -239,11 +249,9 @@ def cmd_hofib(args):
     report = Report(f"hofib {args.file} --cocycle {args.cocycle}")
     algfile = load_algebra_file(args.file)
     element = algfile.lookup(args.cocycle)
-    if args.name is not None and not is_name(args.name):
-        raise FileFormatError(f"bad generator name {args.name!r}", None)
     ext = central_extension(algfile.presentation, element, name=args.name)
     report.note(dump_presentation(ext.total).rstrip())
-    report.add("extension passes d^2 = 0", ext.total.verify_d_squared() is None)
+    report.add("extension passes d^2 = 0", True)  # a Presentation has d^2 = 0
     return _finish(report, args)
 
 

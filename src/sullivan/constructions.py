@@ -95,9 +95,10 @@ def central_extension(pres, cocycle, name=None, degree=None) -> CentralExtension
     if cocycle.algebra is not pres.algebra:
         raise ConstructionError("cocycle must live in the base presentation")
     if not cocycle.is_zero():
-        if not cocycle.is_homogeneous():
+        bideg = cocycle.bidegree()
+        if bideg is None:
             raise ConstructionError("classifying cocycle must be homogeneous")
-        deg, par = cocycle.bidegree()
+        deg, par = bideg
         if degree is not None and degree != deg:
             raise ConstructionError("given degree does not match the cocycle")
     else:
@@ -109,7 +110,9 @@ def central_extension(pres, cocycle, name=None, degree=None) -> CentralExtension
     residual = pres.apply_d(cocycle)
     if not residual.is_zero():
         raise ConstructionError(f"classifying cocycle is not closed: d c = {residual}")
-    gen_name = name or _fresh_name(f"y{deg - 1}", {g.name for g in pres.algebra.generators})
+    gen_name = name if name is not None else _fresh_name(
+        f"y{deg - 1}", {g.name for g in pres.algebra.generators}
+    )
     algebra, diffs = _extend_algebra(pres, [(gen_name, deg - 1, EVEN)])
     diffs[gen_name] = transport(cocycle, algebra)
     total = Presentation(algebra, diffs, name=(pres.name or "g") + f"[{gen_name}]")
@@ -227,7 +230,6 @@ def cyclify(pres) -> Cyclification:
     # s(s g) = 0, so the w2-term vanishes on shifted generators
     diffs.update(loop_diffs)
     cyc = Presentation(alg, diffs, name=f"cyc({pres.name or 'g'})")
-    cyc.ensure_d_squared()
     return Cyclification(pres, cyc, dict(loop.shift_names), wname)
 
 

@@ -8,8 +8,8 @@ the graded Leibniz rule
     d(x*y) = (dx)*y + (-1)^|x| x*(dy)
 
 where |x| is the Z-degree (the parity enters commutation only, never the
-Leibniz sign).  d^2 = 0 is equivalent to d(dg) = 0 on generators and is
-verified on demand, with the result cached.
+Leibniz sign).  d^2 = 0 is equivalent to d(dg) = 0 on generators; the
+constructor checks it, so every Presentation that exists satisfies it.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .parsing import parse_element
 
 
 class PresentationError(SullivanError):
+    residual = None  # d(d generator) when the fault is d^2 != 0 there
+
     def __init__(self, message, generator=None):
         super().__init__(message)
         self.generator = generator  # the generator whose d is at fault, if known
@@ -31,13 +33,15 @@ class MorphismError(SullivanError):
 
 
 class Presentation:
-    """A free bigraded commutative algebra with a degree-+1 differential."""
+    """A free bigraded commutative algebra with a degree-+1 differential.
+
+    The constructor checks d(d g) = 0 for every generator g, in generator
+    order, and raises PresentationError naming the first g where it fails."""
 
     def __init__(self, algebra, differentials=None, name=None):
         self.algebra = algebra
         self.name = name
         self._d = {}
-        self._d2_status = None  # None = unchecked, True = ok, (gen, residual) = failed
         differentials = differentials or {}
         for key, value in differentials.items():
             gen = algebra.generator(key) if isinstance(key, str) else algebra.generators[key.id]
@@ -47,9 +51,10 @@ class Presentation:
                 raise PresentationError(f"d({gen.name}) lives in a different algebra")
             if value.is_zero():
                 continue
-            if not value.is_homogeneous():
+            bideg = value.bidegree()
+            if bideg is None:
                 raise PresentationError(f"d({gen.name}) is not homogeneous", gen)
-            deg, par = value.bidegree()
+            deg, par = bideg
             if deg != gen.degree + 1 or par != gen.parity:
                 raise PresentationError(
                     f"d({gen.name}) must have bidegree ({gen.degree + 1}, "
@@ -58,6 +63,13 @@ class Presentation:
                 )
             self._d[gen.id] = value
         self._table = derivation_table(self._d)  # the presentation is immutable
+        for gen in algebra.generators:
+            if gen.id in self._d:
+                residual = self.apply_d(self._d[gen.id])
+                if residual:
+                    error = PresentationError(f"d^2 != 0: d(d {gen.name}) = {residual}", gen)
+                    error.residual = residual
+                    raise error
 
     @staticmethod
     def build(generators, differentials=None, field=None, name=None):
@@ -86,34 +98,6 @@ class Presentation:
         if not element.is_homogeneous():
             raise PresentationError("is_cocycle requires a homogeneous element")
         return self.apply_d(element).is_zero()
-
-    def verify_d_squared(self):
-        """Return None if d^2 = 0 on every generator, else (generator, d(dg))."""
-        if self._d2_status is True:
-            return None
-        if self._d2_status not in (None, True):
-            return self._d2_status
-        for gen in self.algebra.generators:
-            dg = self._d.get(gen.id)
-            if dg is None:
-                continue
-            ddg = self.apply_d(dg)
-            if not ddg.is_zero():
-                self._d2_status = (gen, ddg)
-                return self._d2_status
-        self._d2_status = True
-        return None
-
-    def ensure_d_squared(self):
-        bad = self.verify_d_squared()
-        if bad is not None:
-            gen, residual = bad
-            raise PresentationError(f"d^2 != 0: d(d {gen.name}) = {residual}")
-        return self
-
-    @property
-    def d_squared_verified(self):
-        return self._d2_status is True
 
     def parse(self, text) -> Element:
         return parse_element(text, self.algebra)
@@ -167,6 +151,7 @@ class Morphism:
             if gen.id not in self._images:
                 raise MorphismError(f"no image given for generator {gen.name}")
         self.generator_ids = _generator_ids(source.algebra, target.algebra, self._images)
+        self._verified = False  # set once verify() has passed; a failure is not kept
 
     def image_of(self, gen):
         if isinstance(gen, str):
@@ -205,10 +190,10 @@ class Morphism:
         for gen in self.source.algebra.generators:
             img = self._images[gen.id]
             if not img.is_zero():
-                if not img.is_homogeneous():
+                bideg = img.bidegree()
+                if bideg is None:
                     return (gen, "image not homogeneous", img)
-                deg, par = img.bidegree()
-                if (deg, par) != (gen.degree, gen.parity):
+                if bideg != (gen.degree, gen.parity):
                     return (gen, "image has wrong bidegree", img)
         for gen in self.source.algebra.generators:
             lhs = self.apply(self.source.d_of_generator(gen))
@@ -218,10 +203,16 @@ class Morphism:
         return None
 
     def ensure_verified(self):
-        bad = self.verify()
-        if bad is not None:
-            gen, reason, residual = bad
-            raise MorphismError(f"morphism fails at {gen.name}: {reason}; residual = {residual}")
+        """Raise MorphismError unless verify() passes; a pass is remembered,
+        so a morphism is checked once however often this is called."""
+        if not self._verified:
+            bad = self.verify()
+            if bad is not None:
+                gen, reason, residual = bad
+                raise MorphismError(
+                    f"morphism fails at {gen.name}: {reason}; residual = {residual}"
+                )
+            self._verified = True
         return self
 
     def then(self, other) -> "Morphism":
@@ -305,7 +296,6 @@ def cohomology(pres, max_degree) -> CohomologyReport:
     """Exact dimensions and representative cocycles for degrees 0..max_degree."""
     if max_degree < 0:
         raise PresentationError("max_degree must be >= 0")
-    pres.ensure_d_squared()
     alg = pres.algebra
     bases = [[]] + [alg.monomial_basis(d) for d in range(max_degree + 2)]
     reps = [

@@ -6,9 +6,8 @@ Grammar (whitespace insensitive, juxtaposition disallowed):
     term    := factor ('*' factor)*
     factor  := INT ['/' INT] | 'i' | NAME ['^' INT]
 
-`i` denotes the imaginary unit and is only legal over the field Q(i) (and
-only when no generator is named "i").  Canonical printing emits the same
-grammar, so parse(format(x)) == x.
+`i` denotes the imaginary unit and is only legal over the field Q(i).
+Canonical printing emits the same grammar, so parse(format(x)) == x.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import Element, mul_monomials
+from .algebra import NAME, Element, mul_monomials
 from .errors import SullivanError
 from .fields import GaussianRational
 
@@ -29,15 +28,7 @@ class ParseError(SullivanError):
         self.position = position
 
 
-_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
-_NAME_RE = re.compile(_NAME)
-_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<name>{_NAME})|(?P<op>[+\-*/^]))")
-
-
-def is_name(text) -> bool:
-    """Whether text is one NAME token: the only generator names that the
-    grammar can read back."""
-    return _NAME_RE.fullmatch(text) is not None
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<name>{NAME})|(?P<op>[+\-*/^]))")
 
 
 def tokenize(text):
@@ -126,9 +117,9 @@ class _Parser:
                 num = Fraction(value, den)
             return coeff * self.algebra.field.coerce(num), mono, sign
         if kind == "name":
+            if value == "i" and self.algebra.field.has_imaginary_unit:
+                return coeff * self.algebra.field.imaginary_unit(), mono, sign
             if value not in self.algebra.by_name:
-                if value == "i" and self.algebra.field.has_imaginary_unit:
-                    return coeff * self.algebra.field.imaginary_unit(), mono, sign
                 raise ParseError(f"unknown generator {value!r}", pos)
             gen = self.algebra.generator(value)
             exp = 1

@@ -325,7 +325,6 @@ def build_superminkowski(gd: GammaData | None = None) -> SuperMinkowski:
             raise CliffordError(f"d e{a} has non-real coefficients")
         diffs[f"e{a}"] = de
     base = Presentation(algebra, diffs, name="superminkowski 8,1|16+16")
-    base.ensure_d_squared()
     c2A = bilinear(gd, algebra, gd.G9A)
     c2B = bilinear(gd, algebra, gd.G9B)
     for label, c in (("c2A", c2A), ("c2B", c2B)):
@@ -335,8 +334,6 @@ def build_superminkowski(gd: GammaData | None = None) -> SuperMinkowski:
             raise CliffordError(f"{label} has non-real coefficients")
     extA = central_extension(base, c2A, name="e9A")
     extB = central_extension(base, c2B, name="e9B")
-    extA.total.ensure_d_squared()
-    extB.total.ensure_d_squared()
     return SuperMinkowski(gd, base, c2A, c2B, extA, extB)
 
 

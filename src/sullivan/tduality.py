@@ -115,7 +115,7 @@ def library_presentation(name) -> Presentation:
         ctor = LIBRARY[name]
     except KeyError:
         raise ConstructionError(f"unknown library presentation {name!r}") from None
-    return ctor().ensure_d_squared()
+    return ctor()
 
 
 def library_extensions():
@@ -187,13 +187,13 @@ def validate_config(base, c1, c2, h3) -> TDualityConfig:
 
     Raises ConfigError naming the failing check and carrying the residual."""
     for label, c in (("first", c1), ("second", c2)):
-        if c.is_zero() or not c.is_homogeneous() or c.bidegree() != (2, 0):
+        if c.bidegree() != (2, 0):
             raise ConfigError(f"not a degree-(2, even) class: {label}")
         residual = base.apply_d(c)
         if not residual.is_zero():
             raise ConfigError(f"not closed: {label} (d = {residual})")
     if not h3.is_zero():
-        if not h3.is_homogeneous() or h3.bidegree() != (3, 0):
+        if h3.bidegree() != (3, 0):
             raise ConfigError("h3 must have bidegree (3, even)")
     residual = base.apply_d(h3) - c1 * c2
     if not residual.is_zero():

@@ -46,9 +46,10 @@ class TwistedCochain:
                 raise TwistError("component lives in the wrong algebra")
             if element.is_zero():
                 continue
-            if not element.is_homogeneous():
+            bideg = element.bidegree()
+            if bideg is None:
                 raise TwistError(f"component at u^{power} is not homogeneous")
-            deg, par = element.bidegree()
+            deg, par = bideg
             if par != EVEN:
                 raise TwistError(f"component at u^{power} has odd parity")
             if deg != degree - 2 * power:
@@ -60,7 +61,11 @@ class TwistedCochain:
 
     @staticmethod
     def single(presentation, power, element):
-        return TwistedCochain(presentation, element.degree() + 2 * power, {power: element})
+        """u^power * element, for a homogeneous nonzero element."""
+        bideg = element.bidegree()
+        if bideg is None:
+            raise TwistError("single needs a homogeneous nonzero element")
+        return TwistedCochain(presentation, bideg[0] + 2 * power, {power: element})
 
     def is_zero(self):
         return not self.components
@@ -137,7 +142,7 @@ class TwistSpec:
         if a.algebra is not presentation.algebra:
             raise TwistError("twist lives in the wrong algebra")
         if not a.is_zero():
-            if not a.is_homogeneous() or a.bidegree() != (3, EVEN):
+            if a.bidegree() != (3, EVEN):
                 raise TwistError("twist must be homogeneous of bidegree (3, even)")
             residual = presentation.apply_d(a)
             if not residual.is_zero():
@@ -182,7 +187,7 @@ def gauge_transform(b, cochain: TwistedCochain) -> TwistedCochain:
     alg = pres.algebra
     if b.algebra is not alg:
         raise TwistError("gauge kernel lives in the wrong algebra")
-    if not b.is_zero() and (not b.is_homogeneous() or b.bidegree() != (2, EVEN)):
+    if not b.is_zero() and b.bidegree() != (2, EVEN):
         raise TwistError("gauge kernel must be homogeneous of bidegree (2, even)")
     gens = alg.generators
     if not all(any(gens[gid].square_zero for gid, _ in mono) for mono in b.terms):
@@ -245,8 +250,8 @@ class FMQuintuple:
             for g in fiber:
                 if not g.square_zero:
                     raise TwistError("fiber generators must be square-zero type")
-        for a, side in ((self.a1, self.side1), (self.a2, self.side2)):
-            TwistSpec(side, a)  # validates closedness and bidegree
+        # TwistSpec validates closedness and bidegree
+        self._twists = (TwistSpec(self.side1, self.a1), TwistSpec(self.side2, self.a2))
         residual = self.kernel_relation_residual
         if not residual.is_zero():
             raise TwistError(f"kernel relation fails: d b - (pi1* a1 - pi2* a2) = {residual}")
@@ -272,10 +277,10 @@ class FMQuintuple:
         )
 
     def twist1(self) -> TwistSpec:
-        return TwistSpec(self.side1, self.a1)
+        return self._twists[0]
 
     def twist2(self) -> TwistSpec:
-        return TwistSpec(self.side2, self.a2)
+        return self._twists[1]
 
     @property
     def fiber_degree_2(self):
@@ -362,7 +367,6 @@ def compose_fm(q: FMQuintuple, qt: FMQuintuple) -> FMQuintuple:
     for gen, fresh in fresh_of.items():
         diffs[fresh] = relabel(qt.total.d_of_generator(gen), alg, lam)
     new_total = Presentation(alg, diffs, name="fm-composite")
-    new_total.ensure_d_squared()
 
     q1 = inclusion(q.total, new_total, name="q1").ensure_verified()
     qt_images = {
@@ -461,7 +465,6 @@ def twisted_cohomology(twist: TwistSpec, parity_class, window) -> TwistedCohomol
     computation fixes total degree k = parity_class."""
     if parity_class not in (0, 1):
         raise TwistError("parity class must be 0 or 1")
-    twist.presentation.ensure_d_squared()
     pres = twist.presentation
     alg = pres.algebra
     k = parity_class

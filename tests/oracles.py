@@ -123,6 +123,15 @@ def extend_derivation(algebra, images, element):
     return Element(algebra, {m: c for m, c in acc.items() if c})
 
 
+def assert_d_squared_zero(pres):
+    """d(d g) = 0 on every generator g, computed with the Fraction loop
+    above, independently of the check the Presentation constructor runs."""
+    images = pres.differentials
+    for gid, dg in images.items():
+        residual = extend_derivation(pres.algebra, images, dg)
+        assert residual.is_zero(), (pres, pres.algebra.generators[gid].name, str(residual))
+
+
 # the capped loop that sullivan.twisted.gauge_transform replaced by the exact
 # nilpotency rule
 def nilpotency_order(element, cap):

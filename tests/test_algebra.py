@@ -15,6 +15,7 @@ from sullivan.algebra import (
     relabel,
     transport,
 )
+from sullivan.fields import QI, QQ
 
 from samples import integers, random_homogeneous
 
@@ -158,10 +159,28 @@ def test_degree_zero_generator_rejected_in_basis():
         alg.monomial_basis(2)
 
 
+@pytest.mark.parametrize(
+    "name, field, ok",
+    [("y1", QQ, True), ("_a_9", QQ, True), ("y 1", QQ, False), ("y^2", QQ, False),
+     ("9y", QQ, False), ("", QQ, False), ("i", QQ, True), ("i", QI, False), ("i1", QI, True)],
+)
+def test_generator_names_the_grammar_reads_back(name, field, ok):
+    # the parser reads `i` over Q(i) as the imaginary unit, never as a generator
+    if ok:
+        assert Algebra([(name, 1, "odd")], field).generators[0].name == name
+    else:
+        with pytest.raises(AlgebraError, match="bad generator name"):
+            Algebra([(name, 1, "odd")], field)
+
+
 def test_homogeneity_queries(mixed):
     x2, y3 = mixed.gen("x2"), mixed.gen("y3")
     assert (x2 * x2).bidegree() == (4, 0)
     assert not (x2 + y3).is_homogeneous()
+    assert (x2 + y3).bidegree() is None
+    # zero has no bidegree but counts as homogeneous
+    assert mixed.zero().bidegree() is None
+    assert mixed.zero().is_homogeneous()
     parts = (x2 + y3 + mixed.one()).homogeneous_parts()
     assert sorted(parts) == [(0, 0), (2, 0), (3, 0)]
 

@@ -8,6 +8,7 @@ import pytest
 
 from sullivan import cli
 from sullivan.cli import (
+    DSquaredError,
     FileFormatError,
     dump_presentation,
     load_algebra_text,
@@ -66,10 +67,13 @@ def test_load_rejects_degree_violation():
 
 
 def test_load_rejects_d_squared_failure_with_residual():
-    with pytest.raises(FileFormatError) as err:
+    with pytest.raises(DSquaredError) as err:
         load_algebra_text(D_SQUARED_FAILS)
-    assert "x1" in str(err.value)
-    assert "w3" in str(err.value)
+    assert str(err.value) == "d^2 != 0 at generator x1: residual = w3 (line 5)"
+    assert isinstance(err.value, FileFormatError)
+    assert err.value.generator.name == "x1"
+    assert str(err.value.residual) == "w3"
+    assert err.value.generator_count == 3
 
 
 def test_dump_round_trip_for_every_library_entry():
@@ -78,6 +82,14 @@ def test_dump_round_trip_for_every_library_entry():
         text = dump_presentation(pres)
         again = load_algebra_text(text).presentation
         assert pres.same_structure(again), name
+
+
+def test_generator_named_i_over_q_round_trips():
+    # over Q, `i` is an ordinary generator name
+    text = "field Q\ngen i 2 even\ngen x3 3 even\nd x3 = 3*i^2\n"
+    pres = load_algebra_text(text).presentation
+    assert dump_presentation(pres) == text
+    assert load_algebra_text(dump_presentation(pres)).presentation.same_structure(pres)
 
 
 def test_exit_codes(tmp_path):
@@ -142,6 +154,8 @@ def test_wide_algebra_cohomology_without_traceback(tmp_path):
          ["check", "@"], ["(line 4)"]),
         # d^2 != 0 found at load names the d line of that generator
         (D_SQUARED_FAILS, ["cohomology", "@", "--max-degree", "3"], ["x1", "(line 5)"]),
+        # a malformed let line is input error even for check, ahead of d^2 != 0
+        (D_SQUARED_FAILS + "let w = x1 +\n", ["check", "@"], ["(line 7,"]),
         # a repeated d line names both lines
         ("gen x1 1 even\ngen y2 2 even\nd x1 = y2\nd x1 = 2*y2\n",
          ["check", "@"], ["line 3", "(line 4)"]),
@@ -151,15 +165,23 @@ def test_wide_algebra_cohomology_without_traceback(tmp_path):
         ("gen x2 2 even\nlet x2 = 5*x2\n", ["hofib", "@", "--cocycle", "x2"], ["(line 2)"]),
         # a generator name that the element grammar cannot read back
         ("field Q\ngen y^2 3 even\nlet w = y^2\n", ["check", "@"], ["(line 2)"]),
+        # over Qi, i is the imaginary unit and names no generator
+        ("field Qi\ngen i 1 even\n", ["check", "@"], ["'i'", "(line 2)"]),
+        ("gen a 2 even\ngen i 1 even\nfield Qi\n", ["check", "@"], ["'i'", "(line 2)"]),
         # neither a --cocycle label nor a missing library name is a file line
         (LS4, ["hofib", "@", "--cocycle", "nosuch"], []),
         (None, ["library", "dump"], []),
-        # nor is a --name outside the grammar
+        # nor is a --name outside the grammar, or i over Qi
         (LS4, ["hofib", "@", "--cocycle", "x4", "--name", "y 1"], []),
+        (LS4, ["hofib", "@", "--cocycle", "x4", "--name", ""], ["''"]),
+        ("field Qi\ngen a 2 even\ngen b 3 even\nd b = i*a^2\n",
+         ["hofib", "@", "--cocycle", "a", "--name", "i"], ["'i'"]),
     ],
-    ids=["duplicate-gen", "bad-bidegree", "inhomogeneous-d", "d-squared", "repeated-d",
-         "repeated-let", "let-shadows-generator", "unreadable-gen-name", "unknown-cocycle",
-         "dump-without-name", "unreadable-hofib-name"],
+    ids=["duplicate-gen", "bad-bidegree", "inhomogeneous-d", "d-squared",
+         "bad-let-before-d-squared", "repeated-d", "repeated-let", "let-shadows-generator",
+         "unreadable-gen-name", "imaginary-unit-gen", "imaginary-unit-gen-before-field",
+         "unknown-cocycle", "dump-without-name", "unreadable-hofib-name", "empty-hofib-name",
+         "imaginary-unit-hofib-name"],
 )
 def test_input_errors_name_their_line(tmp_path, capsys, text, argv, places):
     f = tmp_path / "input.alg"

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from sullivan.algebra import Algebra
 from sullivan.dgca import (
     Morphism,
+    MorphismError,
     Presentation,
     PresentationError,
     closed_basis,
@@ -17,7 +19,8 @@ from sullivan.dgca import (
 from sullivan.fields import QI, QQ
 from sullivan.tduality import btfold, contractible, library_presentation, sphere_model
 
-from samples import random_element
+import oracles
+from samples import gaussians, integers, random_element, random_homogeneous
 
 
 @pytest.fixture
@@ -52,16 +55,64 @@ def test_degree_violating_differential_rejected():
         )
 
 
-def test_verify_d_squared(ls4):
-    assert ls4.verify_d_squared() is None
-    assert ls4.d_squared_verified
-    bad = Presentation.build(
-        [("x1", 1, "even"), ("z2", 2, "even"), ("w3", 3, "even")],
-        {"x1": "z2", "z2": "w3"},
-    )
-    gen, residual = bad.verify_d_squared()
-    assert gen.name == "x1"
-    assert residual == bad.algebra.gen("w3")
+def test_verify_d_squared():
+    # the constructor refuses d^2 != 0, naming the first generator at fault
+    with pytest.raises(PresentationError) as err:
+        Presentation.build(
+            [("x1", 1, "even"), ("z2", 2, "even"), ("w3", 3, "even")],
+            {"x1": "z2", "z2": "w3"},
+        )
+    assert err.value.generator.name == "x1"
+    residual = err.value.residual
+    assert residual == residual.algebra.gen("w3")
+    assert str(err.value) == "d^2 != 0: d(d x1) = w3"
+
+
+def _random_presentation_data(rng, field):
+    """An algebra on 2-5 generators of degree 1-4 and either parity, and a
+    d of the right bidegree on a random subset of them, with no regard for
+    d^2 = 0."""
+    gens = [
+        (f"g{k}", rng.randint(1, 4), rng.choice(["even", "odd"])) for k in range(rng.randint(2, 5))
+    ]
+    alg = Algebra(gens, field)
+    scalar = gaussians if field is QI else integers(3)
+    images = {}
+    for g in alg.generators:
+        if rng.random() < 0.7:
+            dg = random_homogeneous(rng, alg, g.degree + 1, rng.randint(1, 3), scalar, g.parity)
+            if dg:
+                images[g.id] = dg
+    return alg, images
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=["Q", "Qi"])
+def test_constructor_d_squared_matches_oracle(field):
+    # the constructor refuses exactly the presentations on which the
+    # Fraction-loop oracle finds a nonzero d(d g), and names the first such
+    # g in generator order with the same residual
+    rng = random.Random(f"d squared oracle {field.name}")
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        alg, images = _random_presentation_data(rng, field)
+        first = None
+        for gen in alg.generators:
+            if gen.id in images:
+                residual = oracles.extend_derivation(alg, images, images[gen.id])
+                if residual:
+                    first = (gen, residual)
+                    break
+        diffs = {alg.generators[gid].name: dg for gid, dg in images.items()}
+        if first is None:
+            assert Presentation(alg, diffs).differentials == images
+        else:
+            with pytest.raises(PresentationError) as err:
+                Presentation(alg, diffs)
+            assert err.value.generator is first[0]
+            assert err.value.residual == first[1]
+        outcomes[first is None] += 1
+    # both outcomes are well represented
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_is_cocycle(ls4):
@@ -124,6 +175,23 @@ def test_morphism_phi1_and_counterexample():
 
 def test_identity_morphism_verifies(ls4):
     assert identity_morphism(ls4).verify() is None
+
+
+def test_ensure_verified_runs_verify_once_per_pass(monkeypatch, ls4):
+    calls = []
+    verify = Morphism.verify
+    monkeypatch.setattr(Morphism, "verify", lambda self: calls.append(self) or verify(self))
+    good = identity_morphism(ls4)
+    assert good.ensure_verified() is good
+    assert good.ensure_verified() is good
+    assert calls == [good]
+    # a failure is not remembered: every call checks again and raises
+    wide = Presentation.build([("x2", 2, "even"), ("y4", 4, "even")])
+    bad = Morphism(Presentation.build([("x2", 2, "even")]), wide, {"x2": "y4"})
+    for _ in range(2):
+        with pytest.raises(MorphismError, match="wrong bidegree"):
+            bad.ensure_verified()
+    assert calls == [good, bad, bad]
 
 
 def test_morphism_naturality_randomized():

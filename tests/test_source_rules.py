@@ -1,6 +1,6 @@
 """Rules the engine's source keeps: no floating point anywhere, one root for
-the errors that bad input raises, and every name the traced benchmark wraps
-still exists."""
+the errors that bad input raises, no more defaulted parameters than today,
+and every name the traced benchmark wraps still exists."""
 
 import ast
 import importlib
@@ -52,6 +52,42 @@ def test_engine_errors_share_one_root():
     assert [n for n, e in sorted(errors.items()) if not issubclass(e, SullivanError)] == [
         "CliffordError"
     ]
+
+
+# Each defaulted parameter is an option that callers may leave out; the
+# count may fall, and MAX_DEFAULTED_PARAMETERS with it, but a removed option
+# does not come back unnoticed.
+MAX_DEFAULTED_PARAMETERS = 36
+
+
+def _defaulted_parameters(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            for arg in positional[len(positional) - len(args.defaults):]:
+                yield node.lineno, arg.arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.lineno, arg.arg
+
+
+def test_rule_counts_defaulted_parameters():
+    tree = ast.parse(
+        "def f(a, b=1, *c, d, e=2, **g): pass\n"
+        "async def h(x=0, /, y=1): pass\n"
+        "k = lambda p, q=3: p\n"
+    )
+    assert [name for _, name in _defaulted_parameters(tree)] == ["b", "e", "x", "y", "q"]
+
+
+def test_defaulted_parameters_do_not_grow():
+    found = [
+        (path.name, line, name)
+        for path in SOURCES
+        for line, name in _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert len(found) <= MAX_DEFAULTED_PARAMETERS, found
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

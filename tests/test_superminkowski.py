@@ -99,9 +99,9 @@ def test_bilinear_g9a_is_c2a(gd, sm):
 
 
 def test_presentations_pass_d_squared(sm):
-    assert sm.base.verify_d_squared() is None
-    assert sm.extA.total.verify_d_squared() is None
-    assert sm.extB.total.verify_d_squared() is None
+    oracles.assert_d_squared_zero(sm.base)
+    oracles.assert_d_squared_zero(sm.extA.total)
+    oracles.assert_d_squared_zero(sm.extB.total)
 
 
 def test_extension_differentials(sm):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sullivan.constructions import central_extension, extension_fiber_product
-from sullivan.dgca import Morphism, Presentation, inclusion
+from sullivan.dgca import Morphism, MorphismError, Presentation, inclusion
 from sullivan.tduality import btfold, btfold_quintuple, library_presentation, sphere_model
 from sullivan.twisted import (
     FMQuintuple,
@@ -396,7 +396,27 @@ def test_bad_quintuples_rejected_at_construction():
         _rebuilt(q, side1=small, incl1=small_incl, a1=small.algebra.zero(),
                  fiber1=[T.generator(n) for n in ("xc2", "y3", "yc1")])
 
+    # a generator map that does not commute with d: d yc1 = xc2 goes to xt2;
+    # a failed check is not remembered, so every build refuses it
+    swapped = Morphism(q.side1, q.total, {"xc2": "xt2", "xt2": "xc2", "y3": "y3", "yc1": "yc1"})
+    for _ in range(2):
+        with pytest.raises(MorphismError, match="does not commute with d"):
+            _rebuilt(q, incl1=swapped)
+
     with pytest.raises(TwistError, match="not closed"):
         _rebuilt(q, a1=S.gen("y3"))  # d y3 = xc2*xt2
     with pytest.raises(TwistError, match="kernel relation fails"):
         _rebuilt(q, b=q.b.scale(2))
+
+
+def test_quintuple_checks_each_law_once(monkeypatch, tfold_q):
+    q = tfold_q
+    assert q.twist1() is q.twist1() and q.twist2() is q.twist2()
+    assert (q.twist1().a, q.twist2().a) == (q.a1, q.a2)
+    calls = []
+    verify = Morphism.verify
+    monkeypatch.setattr(Morphism, "verify", lambda self: calls.append(self) or verify(self))
+    back = q.reversed()
+    assert (back.twist1().a, back.twist2().a) == (q.a2, q.a1)
+    # both inclusions passed when q was built, so reversing checks neither again
+    assert calls == []
