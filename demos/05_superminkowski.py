@@ -31,4 +31,4 @@ print("d muA == 0:", sm.extA.total.apply_d(cocycles.muA).is_zero())
 print()
 
 print("== the full exchange (this takes a few seconds) ==")
-print(hori_pipeline(samples=20, window=3))
+print(hori_pipeline(seed=20140901, samples=20, window=3))

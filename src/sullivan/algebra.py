@@ -442,10 +442,10 @@ def transport(element, target_algebra):
     """Re-express an element in another algebra, matching generators by name.
 
     Used to compare elements built over two independently constructed copies
-    of the same presentation, and to move elements between a presentation
-    and its extensions.  Each generator used by the element must exist in the
-    target with the same (degree, parity); the target's generator order may
-    differ.
+    of the same presentation; an extension moves elements by id instead, and
+    back through `Morphism.restrict`.  Each generator used by the element
+    must exist in the target with the same (degree, parity); the target's
+    generator order may differ.
     """
     src = element.algebra
     if target_algebra is src:

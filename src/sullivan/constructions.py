@@ -5,6 +5,10 @@ fiber integration along a square-zero extension generator, the free loop
 algebra, cyclification, and the transpose across the homotopy-fiber /
 cyclification adjunction.
 
+An extension appends its generators, so the base's generator ids are its
+first ids: an element goes in with its terms unchanged, and comes back
+through `Morphism.restrict` of the extension's inclusion.
+
 Sign conventions used throughout (all validated by tests):
 
 * fiber integration strips the extension generator from the left:
@@ -28,7 +32,6 @@ from .algebra import (
     derivation_table,
     extend_derivation,
     mul_monomials,
-    transport,
 )
 from .dgca import Morphism, Presentation, inclusion
 from .errors import SullivanError
@@ -51,8 +54,9 @@ def _extend_algebra(pres, new_gens):
     """The old generators plus new ones appended at the end.
 
     Returns (algebra, diffs): the new algebra, and the old differentials
-    carried over into it, keyed by generator name, to which the caller adds
-    the new generators' differentials before building one Presentation.
+    carried over into it by id, keyed by generator name, to which the caller
+    adds the new generators' differentials before building one Presentation.
+    Elements never change their terms, so a carried element shares them.
     """
     old = pres.algebra
     gens = [(g.name, g.degree, g.parity) for g in old.generators]
@@ -67,7 +71,7 @@ def _extend_algebra(pres, new_gens):
     for g in old.generators:
         dg = pres.d_of_generator(g)
         if not dg.is_zero():
-            diffs[g.name] = transport(dg, algebra)
+            diffs[g.name] = Element(algebra, dg.terms)
     return algebra, diffs
 
 
@@ -114,7 +118,7 @@ def central_extension(pres, cocycle, name=None, degree=None) -> CentralExtension
         f"y{deg - 1}", {g.name for g in pres.algebra.generators}
     )
     algebra, diffs = _extend_algebra(pres, [(gen_name, deg - 1, EVEN)])
-    diffs[gen_name] = transport(cocycle, algebra)
+    diffs[gen_name] = Element(algebra, cocycle.terms)
     total = Presentation(algebra, diffs, name=(pres.name or "g") + f"[{gen_name}]")
     new_gen = algebra.generator(gen_name)
     incl = inclusion(pres, total, name="inclusion")
@@ -146,7 +150,7 @@ def fiber_integration(ext: CentralExtension, omega) -> Element:
     """a + y*b |-> b, lowering degree by deg(y); a chain map onto (CE(base), -d)."""
     if omega.algebra is not ext.total.algebra:
         raise ConstructionError("element is not over the extension's total presentation")
-    return transport(strip_generator(omega, ext.new_gen), ext.base.algebra)
+    return ext.inclusion.restrict(strip_generator(omega, ext.new_gen))
 
 
 def shifted_complex_d(pres, element) -> Element:
@@ -163,10 +167,11 @@ class LoopAlgebra:
         self.shift_names = shift_names  # base gen name -> shifted gen name
 
 
-def loopify(pres) -> LoopAlgebra:
-    """Adjoin a shifted copy s g (degree - 1, same parity) of every generator.
-
-    d extends the base differential by d(s g) = -s(d g)."""
+def _loop(pres, extra_gens):
+    """(algebra, diffs, shift_names) of the loop algebra, before a
+    Presentation is built on them: the base generators, a shifted copy s g
+    (degree - 1, same parity) of each with d(s g) = -s(d g), then the
+    (name, degree, parity) extra_gens; a taken name gets a suffix."""
     base_gens = pres.algebra.generators
     for g in base_gens:
         if g.degree - 1 < 1:
@@ -178,22 +183,30 @@ def loopify(pres) -> LoopAlgebra:
         warnings.warn(
             "loop/cyclification of a presentation with odd generators is "
             "experimental: shifted generators keep the original parity",
-            stacklevel=2,
+            stacklevel=3,
         )
     taken = {g.name for g in base_gens}
-    shift_names = {}
     new_gens = []
-    for g in base_gens:
-        sname = _fresh_name(f"s{g.name}", taken)
-        taken.add(sname)
-        shift_names[g.name] = sname
-        new_gens.append((sname, g.degree - 1, g.parity))
+    shifted = [(f"s{g.name}", g.degree - 1, g.parity) for g in base_gens]
+    for name, degree, parity in shifted + extra_gens:
+        name = _fresh_name(name, taken)
+        taken.add(name)
+        new_gens.append((name, degree, parity))
+    shift_names = {g.name: spec[0] for g, spec in zip(base_gens, new_gens)}
     alg, diffs = _extend_algebra(pres, new_gens)
     # s on generators: g |-> s g, and s(s g) = 0
     shift = derivation_table({g.id: alg.gen(shift_names[g.name]) for g in base_gens})
     for g in base_gens:
         if g.name in diffs:
             diffs[shift_names[g.name]] = -extend_derivation(alg, shift, diffs[g.name])
+    return alg, diffs, shift_names
+
+
+def loopify(pres) -> LoopAlgebra:
+    """Adjoin a shifted copy s g (degree - 1, same parity) of every generator.
+
+    d extends the base differential by d(s g) = -s(d g)."""
+    alg, diffs, shift_names = _loop(pres, [])
     looped = Presentation(alg, diffs, name=f"L({pres.name or 'g'})")
     return LoopAlgebra(pres, looped, shift_names)
 
@@ -218,19 +231,17 @@ def cyclify(pres) -> Cyclification:
 
     On original generators d becomes d_L g + w2 * s g; on shifted generators
     d(s g) = -s(d g) as in the loop algebra; d w2 = 0."""
-    loop = loopify(pres)
-    lp = loop.presentation
-    wname = _fresh_name("w2", {g.name for g in lp.algebra.generators})
-    alg, loop_diffs = _extend_algebra(lp, [(wname, 2, EVEN)])
+    alg, loop_diffs, shift_names = _loop(pres, [("w2", 2, EVEN)])
+    wname = alg.generators[-1].name  # the w2 that _loop appended
     w = alg.gen(wname)
     diffs = {
-        g.name: loop_diffs.pop(g.name, alg.zero()) + w * alg.gen(loop.shift_names[g.name])
+        g.name: loop_diffs.pop(g.name, alg.zero()) + w * alg.gen(shift_names[g.name])
         for g in pres.algebra.generators
     }
     # s(s g) = 0, so the w2-term vanishes on shifted generators
     diffs.update(loop_diffs)
     cyc = Presentation(alg, diffs, name=f"cyc({pres.name or 'g'})")
-    return Cyclification(pres, cyc, dict(loop.shift_names), wname)
+    return Cyclification(pres, cyc, shift_names, wname)
 
 
 class ExtensionFiberProduct:
@@ -247,8 +258,11 @@ class ExtensionFiberProduct:
         self.incl2 = incl2
 
 
-def extension_fiber_product(pres, c1, c2, names=("e1c", "e1t")) -> ExtensionFiberProduct:
-    """CE(g)[e_1, e_2] with d e_1 = c1, d e_2 = c2, plus both leg extensions."""
+def extension_fiber_product(pres, c1, c2, names) -> ExtensionFiberProduct:
+    """CE(g)[e_1, e_2] with d e_1 = c1, d e_2 = c2, plus both leg extensions.
+
+    The total is the extension of the first leg by c2, so its inclusion is
+    the first leg's map into the total; names are the names of e_1, e_2."""
     ext1 = central_extension(pres, c1, name=names[0])
     ext2 = central_extension(pres, c2, name=names[1])
     c2_up = ext1.inclusion.apply(c2)
@@ -256,9 +270,8 @@ def extension_fiber_product(pres, c1, c2, names=("e1c", "e1t")) -> ExtensionFibe
     total = second.total
     gen1 = total.algebra.generator(names[0])
     gen2 = total.algebra.generator(names[1])
-    incl1 = inclusion(ext1.total, total, name="pi1*")
     incl2 = inclusion(ext2.total, total, name="pi2*")
-    return ExtensionFiberProduct(pres, ext1, ext2, total, gen1, gen2, incl1, incl2)
+    return ExtensionFiberProduct(pres, ext1, ext2, total, gen1, gen2, second.inclusion, incl2)
 
 
 def y_free_part(element, gen) -> Element:
@@ -275,8 +288,9 @@ def adjunction_transpose(ext: CentralExtension, phi: Morphism) -> Morphism:
     """Transpose phi: CE(h) -> CE(g^) to CE(cyc(h)) -> CE(g) over R[w2].
 
     Requires the extension to be by a 2-cocycle.  Generator images:
-    h |-> y-free part of phi(h); s h |-> -(y-coefficient of phi(h));
-    w2 |-> classifying cocycle.  The result is verified."""
+    h |-> y-free part of phi(h), restricted to the base; s h |-> minus the
+    fiber integral of phi(h); w2 |-> classifying cocycle.  The result is
+    verified, and a failure raises MorphismError."""
     if ext.new_gen.degree != 1:
         raise ConstructionError("adjunction transpose needs an extension by a 2-cocycle")
     if phi.target is not ext.total:
@@ -286,34 +300,24 @@ def adjunction_transpose(ext: CentralExtension, phi: Morphism) -> Morphism:
     images = {}
     for g in phi.source.algebra.generators:
         img = phi.image_of(g)
-        images[g.name] = transport(y_free_part(img, ext.new_gen), ext.base.algebra)
-        images[cyc.shift_names[g.name]] = -transport(
-            strip_generator(img, ext.new_gen), ext.base.algebra
-        )
+        images[g.name] = ext.inclusion.restrict(y_free_part(img, ext.new_gen))
+        images[cyc.shift_names[g.name]] = -fiber_integration(ext, img)
     images[cyc.cocycle_name] = ext.cocycle
-    out = Morphism(cyc.presentation, ext.base, images, name="transpose")
-    bad = out.verify()
-    if bad is not None:
-        gen, reason, residual = bad
-        raise ConstructionError(
-            f"adjunction transpose failed at {gen.name}: {reason}; residual = {residual}"
-        )
-    return TransposedMorphism(out, cyc)
+    return TransposedMorphism(cyc, ext.base, images).ensure_verified()
 
 
 class TransposedMorphism(Morphism):
-    """A verified morphism CE(cyc(h)) -> CE(g) remembering its cyclification."""
+    """A morphism CE(cyc(h)) -> CE(g) remembering its cyclification."""
 
-    def __init__(self, morphism, cyc):
-        Morphism.__init__(
-            self, morphism.source, morphism.target, morphism.images, name=morphism.name
-        )
+    def __init__(self, cyc, target, images):
+        Morphism.__init__(self, cyc.presentation, target, images, name="transpose")
         self.cyclification = cyc
 
 
 def adjunction_transpose_inverse(ext: CentralExtension, cyc: Cyclification, psi: Morphism) -> Morphism:
     """Inverse transpose: from psi: CE(cyc(h)) -> CE(g) over R[w2] back to
-    phi: CE(h) -> CE(g^), via phi(h) = psi(h) - y*psi(s h)."""
+    phi: CE(h) -> CE(g^), via phi(h) = psi(h) - y*psi(s h).  The result is
+    verified, and a failure raises MorphismError."""
     if psi.source is not cyc.presentation:
         raise ConstructionError("psi must be defined on the given cyclification")
     if psi.target is not ext.base:
@@ -328,14 +332,7 @@ def adjunction_transpose_inverse(ext: CentralExtension, cyc: Cyclification, psi:
         a = ext.inclusion.apply(psi.image_of(g.name))
         b = ext.inclusion.apply(psi.image_of(cyc.shift_names[g.name]))
         images[g.name] = a - y * b
-    phi = Morphism(cyc.base, total, images, name="transpose inverse")
-    bad = phi.verify()
-    if bad is not None:
-        gen, reason, residual = bad
-        raise ConstructionError(
-            f"inverse transpose failed at {gen.name}: {reason}; residual = {residual}"
-        )
-    return phi
+    return Morphism(cyc.base, total, images, name="transpose inverse").ensure_verified()
 
 
 def cocycle_as_morphism(pres, element, degree=None, gen_name=None) -> Morphism:

@@ -44,7 +44,7 @@ class Presentation:
         self._d = {}
         differentials = differentials or {}
         for key, value in differentials.items():
-            gen = algebra.generator(key) if isinstance(key, str) else algebra.generators[key.id]
+            gen = algebra.generator(key)
             if isinstance(value, str):
                 value = parse_element(value, algebra)
             if value.algebra is not algebra:
@@ -129,8 +129,9 @@ class Morphism:
     The map is a generator map when every image is a single target generator
     with coefficient one and its source generator's bidegree, and no two
     source generators share an image; `generator_ids` then holds its
-    {source id: target id} dict, and `apply` moves elements with `relabel`.
-    Otherwise `generator_ids` is None and `apply` multiplies images.
+    {source id: target id} dict, `apply` moves elements with `relabel`, and
+    `restrict` moves them back.  Otherwise `generator_ids` is None and
+    `apply` multiplies images.
     """
 
     def __init__(self, source, target, images, name=None):
@@ -141,7 +142,7 @@ class Morphism:
         self.name = name
         self._images = {}
         for key, value in images.items():
-            gen = source.algebra.generator(key) if isinstance(key, str) else key
+            gen = source.algebra.generator(key)
             if isinstance(value, str):
                 value = parse_element(value, target.algebra)
             if value.algebra is not target.algebra:
@@ -182,6 +183,21 @@ class Morphism:
                 prev = acc.get(m)
                 acc[m] = c if prev is None else prev + c
         return Element(target, {m: c for m, c in acc.items() if c})
+
+    def restrict(self, element) -> Element:
+        """The inverse of a generator map on its image: the source element
+        that the map sends to element.  Refused for any other map or element."""
+        if element.algebra is not self.target.algebra:
+            raise MorphismError("element is not over the target algebra")
+        if self.generator_ids is None:
+            raise MorphismError("only a generator map can be inverted on its image")
+        back = {t: s for s, t in self.generator_ids.items()}
+        for mono in element.terms:
+            for gid, _ in mono:
+                if gid not in back:
+                    name = self.target.algebra.generators[gid].name
+                    raise MorphismError(f"element is not in the map's image: contains {name}")
+        return relabel(element, self.source.algebra, back)
 
     def verify(self):
         """None if degree/parity-preserving and d-commuting; else a counterexample.

@@ -389,7 +389,7 @@ def mu_f1(sm: SuperMinkowski) -> StringCocycles:
     return StringCocycles(mu81, *mus)
 
 
-def hori_pipeline(seed=20140901, samples=50, window=3) -> Report:
+def hori_pipeline(seed, samples, window) -> Report:
     """Build everything, derive the quintuple, and verify the exchange.
 
     Asserts that the derived twists are exactly the two string cocycles,

@@ -40,31 +40,30 @@ class ConfigError(SullivanError):
 # ---------------------------------------------------------------------------
 
 
-def sphere_model(n, field=QQ) -> Presentation:
+def sphere_model(n) -> Presentation:
     """Minimal presentation of the n-sphere: one closed odd generator, or the
     even pair (x_n, x_{2n-1}) with d x_{2n-1} = x_n^2.  n = 1 is admitted as
     the classical simple-space exception."""
     if n <= 0:
         raise ConstructionError("sphere dimension must be >= 1")
     if n == 1:
-        return Presentation.build([("t1", 1, "even")], {}, field=field, name="lS1")
+        return Presentation.build([("t1", 1, "even")], {}, name="lS1")
     if n % 2 == 1:
-        return Presentation.build([(f"x{n}", n, "even")], {}, field=field, name=f"lS{n}")
+        return Presentation.build([(f"x{n}", n, "even")], {}, name=f"lS{n}")
     top = 2 * n - 1
     return Presentation.build(
         [(f"x{n}", n, "even"), (f"x{top}", top, "even")],
         {f"x{top}": f"x{n}^2"},
-        field=field,
         name=f"lS{n}",
     )
 
 
-def line_model(n, field=QQ) -> Presentation:
+def line_model(n) -> Presentation:
     """R[x_{n+1}] with zero differential: one closed generator of degree n+1."""
     if n < 1:
         raise ConstructionError("need n >= 1")
     return Presentation.build(
-        [(f"x{n + 1}", n + 1, "even")], {}, field=field, name=f"b{n}u1" if n > 1 else "bu1"
+        [(f"x{n + 1}", n + 1, "even")], {}, name=f"b{n}u1" if n > 1 else "bu1"
     )
 
 
@@ -78,19 +77,19 @@ def btfold(field=QQ) -> Presentation:
     )
 
 
-def contractible(field=QQ) -> Presentation:
+def contractible() -> Presentation:
     """R[y1, x2] with d y1 = x2; has the cohomology of a point."""
     return Presentation.build(
-        [("y1", 1, "even"), ("x2", 2, "even")], {"y1": "x2"}, field=field, name="contractible"
+        [("y1", 1, "even"), ("x2", 2, "even")], {"y1": "x2"}, name="contractible"
     )
 
 
-def cyc_b2u1(field=QQ) -> Presentation:
-    return cyclify(line_model(2, field)).presentation
+def cyc_b2u1() -> Presentation:
+    return cyclify(line_model(2)).presentation
 
 
-def cyc_lS4(field=QQ) -> Presentation:
-    return cyclify(sphere_model(4, field)).presentation
+def cyc_lS4() -> Presentation:
+    return cyclify(sphere_model(4)).presentation
 
 
 LIBRARY = {

@@ -293,22 +293,6 @@ class FMQuintuple:
         )
 
 
-def restrict_through(incl: Morphism, element) -> Element:
-    """Invert a generator-to-generator inclusion on an element of its image.
-
-    Every generator of the element must be the image of a (unique) source
-    generator."""
-    if incl.generator_ids is None:
-        raise TwistError("only a generator map can be inverted on its image")
-    back = {t: s for s, t in incl.generator_ids.items()}
-    for mono in element.terms:
-        for gid, _ in mono:
-            if gid not in back:
-                name = incl.target.algebra.generators[gid].name
-                raise TwistError(f"element is not in the inclusion's image: contains {name}")
-    return relabel(element, incl.source.algebra, back)
-
-
 def fm_transform(q: FMQuintuple, cochain: TwistedCochain) -> TwistedCochain:
     """omega |-> pi_{2*}(e^{u^{-1} b} pi_1^* omega)."""
     if cochain.presentation is not q.side1:
@@ -326,7 +310,7 @@ def fm_transform(q: FMQuintuple, cochain: TwistedCochain) -> TwistedCochain:
             if e.is_zero():
                 break
         if not e.is_zero():
-            comps[m] = restrict_through(q.incl2, e)
+            comps[m] = q.incl2.restrict(e)
     return TwistedCochain(q.side2, cochain.degree - q.fiber_degree_2, comps)
 
 
@@ -394,7 +378,7 @@ def beck_chevalley_check(fp: ExtensionFiberProduct, omega) -> bool:
     lhs = fp.ext2.inclusion.apply(down)
     lifted = fp.incl1.apply(omega)
     stripped = strip_generator(lifted, fp.gen1)
-    rhs = restrict_through(fp.incl2, stripped)
+    rhs = fp.incl2.restrict(stripped)
     return lhs == rhs
 
 

@@ -6,7 +6,8 @@ checks against sympy."""
 
 import math
 
-from sullivan.algebra import Element, mul_monomials
+from sullivan.algebra import Element, mul_monomials, transport
+from sullivan.constructions import strip_generator
 from sullivan.linalg import kernel_basis, matrix_of, reduce_against, row_reduce
 from sullivan.twisted import TwistedCochain, _twisted_basis, twisted_d_raw
 
@@ -41,7 +42,14 @@ def homology(image, bases, field):
 def truncated_twisted_cohomology(twist, parity, window):
     """Representatives of the truncated twisted cohomology, built as
     twisted_d_raw of each basis cochain with the components outside the
-    window dropped afterwards, and taken through kernel_mod_image."""
+    window dropped afterwards, and taken through kernel_mod_image.
+
+    Where it stops: on the super-Minkowski extension extA at parity 1,
+    window 3 (5,354 classes) it takes 6.9 s against 0.08 s for
+    twisted_cohomology (Python 3.11, 2-core shared host), so the tests run
+    it only on library algebras.  Under cProfile 96% of its time is the
+    twisted_d_raw of each of the 5,984 basis cochains: the product a * w and
+    the checks of the TwistedCochain it builds; kernel_mod_image is small."""
     pres = twist.presentation
     alg = pres.algebra
     bases = {k: _twisted_basis(pres, k, window) for k in (parity - 1, parity, parity + 1)}
@@ -76,6 +84,13 @@ def truncated_twisted_cohomology(twist, parity, window):
             comps[m] = comps[m] + term if m in comps else term
         reps.append(TwistedCochain(pres, parity, comps))
     return reps
+
+
+# the by-name path that sullivan.constructions.fiber_integration replaced by
+# Morphism.restrict through the extension's inclusion
+def fiber_integration(ext, omega):
+    """a + y*b |-> b, with b moved into the base by matching generator names."""
+    return transport(strip_generator(omega, ext.new_gen), ext.base.algebra)
 
 
 # the Fraction loop that sullivan.algebra.extend_derivation runs on integer

@@ -8,6 +8,7 @@ import pytest
 
 from sullivan.algebra import Algebra, AlgebraError
 from sullivan.constructions import (
+    CentralExtension,
     ConstructionError,
     adjunction_transpose,
     adjunction_transpose_inverse,
@@ -21,12 +22,12 @@ from sullivan.constructions import (
     shifted_complex_d,
     strip_generator,
 )
-from sullivan.dgca import Presentation, closed_basis
+from sullivan.dgca import Morphism, Presentation, closed_basis
 from sullivan.fields import QI, QQ
-from sullivan.tduality import btfold, library_extensions, sphere_model
+from sullivan.tduality import btfold, btfold_quintuple, library_extensions, sphere_model
 
 import oracles
-from samples import random_homogeneous
+from samples import random_element, random_homogeneous
 
 
 @pytest.fixture
@@ -288,3 +289,70 @@ def test_strip_generator_signs(p1_setup):
     omega = total.parse("y3*yc1")
     assert strip_generator(omega, y) == total.parse("-y3")
     assert strip_generator(total.parse("yc1*y3"), y) == total.parse("y3")
+
+
+def test_restrict_inverts_every_library_inclusion_and_fm_leg():
+    q = btfold_quintuple().quintuple
+    maps = {name: ext.inclusion for name, ext in library_extensions().items()}
+    maps.update({"tfold leg 1": q.incl1, "tfold leg 2": q.incl2})
+    rng = random.Random("restrict")
+    for name, incl in maps.items():
+        for _ in range(40):
+            x = random_element(rng, incl.source.algebra)
+            assert incl.restrict(incl.apply(x)) == x, (name, str(x))
+
+
+def test_fiber_integration_matches_by_name_oracle():
+    rng = random.Random("fiber integration")
+    for name, ext in library_extensions().items():
+        y = ext.total.algebra.gen(ext.new_gen.name)
+        for _ in range(40):
+            omega = random_element(rng, ext.total.algebra)
+            omega = omega + y * random_element(rng, ext.total.algebra)
+            expected = oracles.fiber_integration(ext, omega)
+            assert fiber_integration(ext, omega) == expected, (name, str(omega))
+
+
+def _recorded(monkeypatch, cls, attr):
+    """The objects on which cls.attr is called from now on, in call order."""
+    calls = []
+    original = getattr(cls, attr)
+
+    def recorded(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, attr, recorded)
+    return calls
+
+
+def test_cyclify_builds_one_presentation(monkeypatch):
+    pres = sphere_model(4)
+    built = _recorded(monkeypatch, Presentation, "__init__")
+    cyc = cyclify(pres)
+    assert built == [cyc.presentation]
+
+
+def test_extension_fiber_product_reuses_the_inclusion_of_its_total(monkeypatch):
+    bt = btfold()
+    extensions = _recorded(monkeypatch, CentralExtension, "__init__")
+    morphisms = _recorded(monkeypatch, Morphism, "__init__")
+    fp = extension_fiber_product(bt, bt.algebra.gen("xc2"), bt.algebra.gen("xt2"),
+                                 names=("yc1", "yt1"))
+    first, second, total = extensions
+    assert (first, second) == (fp.ext1, fp.ext2) and total.total is fp.total
+    # each leg's inclusion, the total's inclusion of the first leg, and pi2*
+    assert morphisms == [first.inclusion, second.inclusion, total.inclusion, fp.incl2]
+    assert fp.incl1 is total.inclusion
+
+
+def test_adjunction_round_trip_builds_and_verifies_each_morphism_once(monkeypatch, p1_setup):
+    bt, ext = p1_setup
+    phi = cocycle_as_morphism(ext.total, ext.total.parse("y3 - yc1*xt2"), gen_name="x3")
+    verified = _recorded(monkeypatch, Morphism, "verify")
+    built = _recorded(monkeypatch, Morphism, "__init__")
+    psi = adjunction_transpose(ext, phi)
+    back = adjunction_transpose_inverse(ext, psi.cyclification, psi)
+    again = adjunction_transpose(ext, back)
+    assert built == [psi, back, again]
+    assert verified == [phi, psi, back, again]

@@ -296,12 +296,26 @@ def test_generator_map_apply_matches_product_of_images(field):
             e = random_element(rng, source.algebra)
             image = m.apply(e)
             assert image == _product_of_images(m, e)
+            assert m.restrict(image) == e
             ids = m.generator_ids
             signs_seen |= any(
                 image.terms.get(tuple(sorted((ids[g], x) for g, x in mono))) == -c
                 for mono, c in e.terms.items()
             )
     assert signs_seen
+
+
+def test_restrict_refuses_what_is_not_in_the_image():
+    source = Presentation.build([("x2", 2, "even"), ("y3", 3, "even")], {"y3": "x2^2"})
+    target = Presentation.build(
+        [("x2", 2, "even"), ("z1", 1, "even"), ("y3", 3, "even")], {"y3": "x2^2"}
+    )
+    incl = inclusion(source, target).ensure_verified()
+    assert incl.restrict(target.parse("x2*y3 - 3*x2^2")) == source.parse("x2*y3 - 3*x2^2")
+    with pytest.raises(MorphismError, match="not in the map's image: contains z1"):
+        incl.restrict(target.parse("x2 + z1*x2"))
+    with pytest.raises(MorphismError, match="not over the target algebra"):
+        incl.restrict(source.parse("x2"))
 
 
 def test_non_generator_maps_keep_the_product_path():

@@ -1,6 +1,6 @@
 """Rules the engine's source keeps: no floating point anywhere, one root for
-the errors that bad input raises, no more defaulted parameters than today,
-and every name the traced benchmark wraps still exists."""
+the errors that bad input raises, exactly as many defaulted parameters as
+today, and every name the traced benchmark wraps still exists."""
 
 import ast
 import importlib
@@ -54,10 +54,11 @@ def test_engine_errors_share_one_root():
     ]
 
 
-# Each defaulted parameter is an option that callers may leave out; the
-# count may fall, and MAX_DEFAULTED_PARAMETERS with it, but a removed option
-# does not come back unnoticed.
-MAX_DEFAULTED_PARAMETERS = 36
+# Each defaulted parameter is an option that callers may leave out.  The
+# count must equal MAX_DEFAULTED_PARAMETERS: when an option goes, the cap
+# falls with it in the same change, so a removed option does not come back
+# unnoticed.
+MAX_DEFAULTED_PARAMETERS = 27
 
 
 def _defaulted_parameters(tree):
@@ -87,7 +88,7 @@ def test_defaulted_parameters_do_not_grow():
         for path in SOURCES
         for line, name in _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert len(found) <= MAX_DEFAULTED_PARAMETERS, found
+    assert len(found) == MAX_DEFAULTED_PARAMETERS, found
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

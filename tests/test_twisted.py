@@ -18,7 +18,6 @@ from sullivan.twisted import (
     fm_inverse,
     fm_transform,
     gauge_transform,
-    restrict_through,
     twisted_cohomology,
     twisted_d,
     twisted_d_raw,
@@ -380,8 +379,8 @@ def test_bad_quintuples_rejected_at_construction():
     assert doubled.generator_ids is None
     with pytest.raises(TwistError, match="single generators"):
         _rebuilt(q, incl1=doubled)
-    with pytest.raises(TwistError, match="only a generator map"):
-        restrict_through(doubled, T.gen("xc2"))
+    with pytest.raises(MorphismError, match="only a generator map"):
+        doubled.restrict(T.gen("xc2"))
 
     # fiber lists that miss a generator or overlap the image
     for fiber1 in ([], [*q.fiber1, T.generator("xc2")]):
