@@ -28,6 +28,7 @@ sparse sums of monomials with exact field coefficients.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from math import lcm
 
 from .errors import SullivanError
@@ -546,8 +547,7 @@ def extend_derivation(algebra, table, element):
                         acc[m_all] = c if prev is None else prev + c
             prefix_degree += exp * degrees[gid]
     den *= scale
-    fraction = algebra.field.fraction
     return Element(
         algebra,
-        {m: fraction(v, den) if type(v) is int else v / den for m, v in acc.items() if v},
+        {m: Fraction(v, den) if type(v) is int else v / den for m, v in acc.items() if v},
     )

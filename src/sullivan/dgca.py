@@ -280,13 +280,15 @@ class CohomologyReport:
 
     Results above the window are not claimed; the degree-max_degree kernel
     does use the full differential into degree max_degree + 1.
+    `representatives[k]` lists the degree-k class representatives for
+    k = 0..max_degree; `max_degree` and `dims` are read off it.
     """
 
-    def __init__(self, presentation, max_degree, dims, representatives):
+    def __init__(self, presentation, representatives):
         self.presentation = presentation
-        self.max_degree = max_degree
-        self.dims = dims
         self.representatives = representatives
+        self.max_degree = len(representatives) - 1
+        self.dims = [len(r) for r in representatives]
 
     def dimension(self, degree):
         return self.dims[degree]
@@ -318,7 +320,7 @@ def cohomology(pres, max_degree) -> CohomologyReport:
         [Element.from_terms(alg, cls) for cls in classes]
         for classes in homology(_d_image(pres), bases, alg.field)
     ]
-    return CohomologyReport(pres, max_degree, [len(r) for r in reps], reps)
+    return CohomologyReport(pres, reps)
 
 
 def closed_basis(pres, degree):

@@ -163,11 +163,6 @@ class Field:
     def is_real(self, x) -> bool:
         return not isinstance(self.coerce(x), GaussianRational)
 
-    def fraction(self, p, q):
-        if q == 0:
-            raise ZeroDivisionError("zero denominator")
-        return Fraction(p, q)
-
     def imaginary_unit(self):
         if not self.has_imaginary_unit:
             raise FieldError("Q has no imaginary unit")

@@ -203,10 +203,9 @@ def validate_config(base, c1, c2, h3) -> TDualityConfig:
 class DerivedQuintuple:
     """A quintuple remembering the fiber product it came from."""
 
-    def __init__(self, quintuple, fiber_product, config):
+    def __init__(self, quintuple, fiber_product):
         self.quintuple = quintuple
         self.fiber_product = fiber_product
-        self.config = config
 
 
 def derive_quintuple(cfg: TDualityConfig, names=("ec1", "et1")) -> DerivedQuintuple:
@@ -223,18 +222,9 @@ def derive_quintuple(cfg: TDualityConfig, names=("ec1", "et1")) -> DerivedQuintu
     a32 = ext2.inclusion.apply(cfg.h3) - ext2.inclusion.apply(cfg.c1) * e2
     b = fp.total.algebra.gen(names[0]) * fp.total.algebra.gen(names[1])
     q = FMQuintuple(
-        total=fp.total,
-        side1=ext1.total,
-        side2=ext2.total,
-        incl1=fp.incl1,
-        incl2=fp.incl2,
-        fiber1=[fp.gen2],
-        fiber2=[fp.gen1],
-        a1=a31,
-        a2=a32,
-        b=b,
+        incl1=fp.incl1, incl2=fp.incl2, fiber1=[fp.gen2], fiber2=[fp.gen1], a1=a31, a2=a32, b=b
     )
-    return DerivedQuintuple(q, fp, cfg)
+    return DerivedQuintuple(q, fp)
 
 
 def btfold_quintuple() -> DerivedQuintuple:

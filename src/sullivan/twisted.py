@@ -16,6 +16,7 @@ e^{u^{-1} b} and fiber-integrates along the second leg.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .algebra import Element, EVEN, relabel, transport
 from .constructions import (
@@ -89,7 +90,9 @@ class TwistedCochain:
         comps = dict(self.components)
         for m, e in other.components.items():
             comps[m] = comps[m] + e if m in comps else e
-        return TwistedCochain(self.presentation, self.degree, comps)
+        # a zero cochain has no degree, so the sum takes the other's
+        degree = self.degree if self.components else other.degree
+        return TwistedCochain(self.presentation, degree, comps)
 
     def __sub__(self, other):
         return self + (-other)
@@ -194,38 +197,39 @@ def gauge_transform(b, cochain: TwistedCochain) -> TwistedCochain:
         raise TwistError(
             "gauge kernel is not nilpotent: e^{u^{-1} b} is an infinite series"
         )
-    result = cochain
+    comps = dict(cochain.components)
     power = b
     j = 1
     while not power.is_zero():
-        coeff = alg.field.fraction(1, math.factorial(j))
-        comps = {}
+        coeff = Fraction(1, math.factorial(j))
         for m, e in cochain.components.items():
             term = (power * e).scale(coeff)
             if not term.is_zero():
                 comps[m - j] = comps[m - j] + term if m - j in comps else term
-        result = result + TwistedCochain(pres, cochain.degree, comps)
         power = power * b
         j += 1
-    return result
+    return TwistedCochain(pres, cochain.degree, comps)
 
 
 class FMQuintuple:
     """The data of a Fourier-Mukai transform between twisted complexes.
 
-    total     -- the shared total presentation CE(h)
-    side1/2   -- the two leg presentations CE(g_1), CE(g_2)
-    incl1/2   -- the inclusions CE(g_i) -> CE(h) (generators to generators)
+    incl1/2   -- the inclusions CE(g_i) -> CE(h) (generators to generators);
+                 they share their target, the total presentation CE(h)
     fiber1/2  -- ordered lists of total-presentation generators integrated
-                 out by pi_{i*} (stripped left to right)
+                 out by pi_{i*} (stripped left to right, so the order is the
+                 orientation: the sign of pi_{i*})
     a1/a2     -- closed degree-3 even twists on the two sides
     b         -- the kernel 2-cochain in CE(h) with d b = pi_1^* a1 - pi_2^* a2
+
+    The total and the two sides are read off the inclusions: total is their
+    common target, side1 and side2 their sources.
     """
 
-    def __init__(self, total, side1, side2, incl1, incl2, fiber1, fiber2, a1, a2, b):
-        self.total = total
-        self.side1 = side1
-        self.side2 = side2
+    def __init__(self, incl1, incl2, fiber1, fiber2, a1, a2, b):
+        self.total = incl1.target
+        self.side1 = incl1.source
+        self.side2 = incl2.source
         self.incl1 = incl1
         self.incl2 = incl2
         self.fiber1 = list(fiber1)
@@ -236,10 +240,10 @@ class FMQuintuple:
         self.verify()
 
     def verify(self):
-        for incl, side in ((self.incl1, self.side1), (self.incl2, self.side2)):
-            if incl.source is not side or incl.target is not self.total:
-                raise TwistError("inclusion endpoints are wrong")
-            incl.ensure_verified()
+        if self.incl2.target is not self.total:
+            raise TwistError("the two inclusions must share their target")
+        self.incl1.ensure_verified()
+        self.incl2.ensure_verified()
         total_gens = self.total.algebra.generators
         for incl, fiber in ((self.incl1, self.fiber1), (self.incl2, self.fiber2)):
             if incl.generator_ids is None:
@@ -264,16 +268,7 @@ class FMQuintuple:
 
     def reversed(self) -> "FMQuintuple":
         return FMQuintuple(
-            self.total,
-            self.side2,
-            self.side1,
-            self.incl2,
-            self.incl1,
-            self.fiber2,
-            self.fiber1,
-            self.a2,
-            self.a1,
-            -self.b,
+            self.incl2, self.incl1, self.fiber2, self.fiber1, self.a2, self.a1, -self.b
         )
 
     def twist1(self) -> TwistSpec:
@@ -284,7 +279,7 @@ class FMQuintuple:
 
     @property
     def fiber_degree_2(self):
-        return sum(self.total.algebra.generators[g.id].degree for g in self.fiber2)
+        return sum(g.degree for g in self.fiber2)
 
     def __repr__(self):
         return (
@@ -330,43 +325,38 @@ def compose_fm(q: FMQuintuple, qt: FMQuintuple) -> FMQuintuple:
     if transport(q.a2, qt.side1.algebra) != qt.a1:
         raise TwistError("composition mismatch: twists on the shared side differ")
 
-    total_names = {g.name for g in q.total.algebra.generators}
-    fresh_of = {}  # qt.total fiber generator -> name of its copy
-    new_gens = []
+    taken = {g.name for g in q.total.algebra.generators}
+    fresh = []  # the names of the copies of qt.fiber1, in its order
     for g in qt.fiber1:
-        gen = qt.total.algebra.generators[g.id]
-        fresh = _fresh_name(gen.name, total_names)
-        total_names.add(fresh)
-        fresh_of[gen] = fresh
-        new_gens.append((fresh, gen.degree, gen.parity))
-    alg, diffs = _extend_algebra(q.total, new_gens)
+        fresh.append(_fresh_name(g.name, taken))
+        taken.add(fresh[-1])
+    alg, diffs = _extend_algebra(
+        q.total, [(name, g.degree, g.parity) for name, g in zip(fresh, qt.fiber1)]
+    )
 
-    # lambda: CE(qt.total) -> CE(new total) on generator ids: shared-side gens
-    # map through qt.incl1^{-1} then q.incl2; qt fiber gens map to their copies
-    lam = {gen.id: alg.generator(fresh).id for gen, fresh in fresh_of.items()}
+    # lambda: CE(qt.total) -> CE(new total) on generator ids.  The copies are
+    # appended, so q.total's ids are the new total's first ids: shared-side
+    # gens map through qt.incl1^{-1} then q.incl2, fiber gens to their copies
+    n = len(q.total.algebra.generators)
+    lam = {g.id: n + i for i, g in enumerate(qt.fiber1)}
     to_q_total = q.incl2.generator_ids
     for gid, tid in qt.incl1.generator_ids.items():
-        lam[tid] = alg.generator(q.total.algebra.generators[to_q_total[gid]].name).id
+        lam[tid] = to_q_total[gid]
 
-    for gen, fresh in fresh_of.items():
-        diffs[fresh] = relabel(qt.total.d_of_generator(gen), alg, lam)
+    for name, g in zip(fresh, qt.fiber1):
+        diffs[name] = relabel(qt.total.d_of_generator(g), alg, lam)
     new_total = Presentation(alg, diffs, name="fm-composite")
 
     q1 = inclusion(q.total, new_total, name="q1").ensure_verified()
-    qt_images = {
-        g.name: alg.gen(alg.generators[lam[g.id]].name) for g in qt.total.algebra.generators
-    }
+    qt_images = {g.name: alg.monomial(((lam[g.id], 1),)) for g in qt.total.algebra.generators}
     q2 = Morphism(qt.total, new_total, qt_images, name="q2").ensure_verified()
 
-    incl1 = q.incl1.then(q1)
-    incl2 = qt.incl2.then(q2)
-    fiber1 = [alg.generators[lam[g.id]] for g in qt.fiber1]
-    fiber1 += [alg.generator(q.total.algebra.generators[g.id].name) for g in q.fiber1]
-    fiber2 = [alg.generator(q.total.algebra.generators[g.id].name) for g in q.fiber2]
-    fiber2 += [alg.generators[lam[g.id]] for g in qt.fiber2]
+    gens = alg.generators
+    fiber1 = [gens[lam[g.id]] for g in qt.fiber1] + [gens[g.id] for g in q.fiber1]
+    fiber2 = [gens[g.id] for g in q.fiber2] + [gens[lam[g.id]] for g in qt.fiber2]
     kernel = q1.apply(q.b) + q2.apply(qt.b)
     return FMQuintuple(
-        new_total, q.side1, qt.side2, incl1, incl2, fiber1, fiber2, q.a1, qt.a2, kernel
+        q.incl1.then(q1), qt.incl2.then(q2), fiber1, fiber2, q.a1, qt.a2, kernel
     )
 
 
@@ -388,14 +378,14 @@ class TwistedCohomologyReport:
     Components of Z-degree above the window are excluded from both the
     cochain spaces and the differential targets; dimensions at the top edge
     of the window therefore refer to the truncated complex, and nothing is
-    claimed beyond the window."""
+    claimed beyond the window.  `dim` is the number of representatives."""
 
-    def __init__(self, twist, parity_class, window, dim, representatives):
+    def __init__(self, twist, parity_class, window, representatives):
         self.twist = twist
         self.parity_class = parity_class
         self.window = window
-        self.dim = dim
         self.representatives = representatives
+        self.dim = len(representatives)
 
     def lines(self):
         out = [
@@ -475,4 +465,4 @@ def twisted_cohomology(twist: TwistSpec, parity_class, window) -> TwistedCohomol
             term = alg.monomial(mono, val)
             comps[m] = comps[m] + term if m in comps else term
         reps.append(TwistedCochain(pres, k, comps))
-    return TwistedCohomologyReport(twist, parity_class, window, len(reps), reps)
+    return TwistedCohomologyReport(twist, parity_class, window, reps)

@@ -5,6 +5,7 @@ definition step by step, on the `linalg` primitives that tests/test_linalg.py
 checks against sympy."""
 
 import math
+from fractions import Fraction
 
 from sullivan.algebra import Element, mul_monomials, transport
 from sullivan.constructions import strip_generator
@@ -171,7 +172,7 @@ def gauge_series(b, cochain, cap):
     power = pres.algebra.one()
     for j in range(1, order):
         power = power * b
-        coeff = pres.algebra.field.fraction(1, math.factorial(j))
+        coeff = Fraction(1, math.factorial(j))
         comps = {}
         for m, e in cochain.components.items():
             term = (power * e).scale(coeff)

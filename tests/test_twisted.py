@@ -42,6 +42,16 @@ def test_cochain_validation():
     assert c.powers() == [0]
 
 
+def test_zero_cochain_adds_and_subtracts_in_either_order():
+    # a zero cochain has no degree: whichever side it is on, the result
+    # takes the degree of the other operand
+    bt = btfold()
+    w = TwistedCochain(bt, 2, {0: bt.algebra.gen("xc2"), 1: bt.algebra.one()})
+    zero = TwistedCochain(bt, 0, {})
+    for result, expected in ((zero + w, w), (w + zero, w), (zero - w, -w), (w - zero, w)):
+        assert result == expected and result.degree == 2
+
+
 def test_twist_spec_requires_closed_degree_three():
     bt = btfold()
     with pytest.raises(TwistError):
@@ -112,6 +122,23 @@ def test_gauge_transform_non_nilpotent_rejected():
     w = TwistedCochain(bt, 0, {0: bt.algebra.one()})
     with pytest.raises(TwistError):
         gauge_transform(bt.algebra.gen("xc2"), w)
+
+
+def test_gauge_transform_builds_one_cochain(monkeypatch, tfold_q):
+    total = tfold_q.total
+    A = total.algebra
+    b = total.parse("yc1*yt1")
+    w = TwistedCochain(total, 2, {0: A.gen("xc2"), 1: A.one()})
+    built = []
+    init = TwistedCochain.__init__
+    monkeypatch.setattr(
+        TwistedCochain, "__init__",
+        lambda self, *args: built.append(self) or init(self, *args),
+    )
+    g = gauge_transform(b, w)
+    # the terms of every power of b gather in one component dict
+    assert built == [g]
+    assert g.components == {1: A.one(), 0: A.gen("xc2") + b, -1: b * A.gen("xc2")}
 
 
 def test_gauge_intertwines_twists(tfold_q):
@@ -202,9 +229,6 @@ def test_trivial_quintuple_is_fiber_integration():
     fp = extension_fiber_product(bt, bt.algebra.gen("xc2"), bt.algebra.gen("xc2"),
                                  names=("ya", "yb"))
     q = FMQuintuple(
-        total=fp.total,
-        side1=fp.ext1.total,
-        side2=fp.ext2.total,
         incl1=fp.incl1,
         incl2=fp.incl2,
         fiber1=[fp.gen2],
@@ -354,11 +378,19 @@ def test_compose_side_mismatch_rejected(tfold_q):
         compose_fm(q, q)  # q.side2 differs from q.side1
 
 
+def test_quintuple_sides_are_the_inclusions_endpoints(tfold_q):
+    q = tfold_q
+    back = q.reversed()
+    for p in (q, back, compose_fm(q, back), compose_fm(back, q)):
+        assert p.total is p.incl1.target is p.incl2.target
+        assert p.side1 is p.incl1.source and p.side2 is p.incl2.source
+    assert (back.total, back.side1, back.side2) == (q.total, q.side2, q.side1)
+
+
 def _rebuilt(q, **changes):
     """The quintuple q with some of its data replaced, built afresh."""
     data = dict(
-        total=q.total, side1=q.side1, side2=q.side2, incl1=q.incl1, incl2=q.incl2,
-        fiber1=q.fiber1, fiber2=q.fiber2, a1=q.a1, a2=q.a2, b=q.b,
+        incl1=q.incl1, incl2=q.incl2, fiber1=q.fiber1, fiber2=q.fiber2, a1=q.a1, a2=q.a2, b=q.b
     )
     data.update(changes)
     return FMQuintuple(**data)
@@ -392,7 +424,7 @@ def test_bad_quintuples_rejected_at_construction():
     small = Presentation.build([("xt2", 2, "even"), ("yt1", 1, "even")], {"yt1": "xt2"})
     small_incl = inclusion(small, q.total).ensure_verified()
     with pytest.raises(TwistError, match="square-zero"):
-        _rebuilt(q, side1=small, incl1=small_incl, a1=small.algebra.zero(),
+        _rebuilt(q, incl1=small_incl, a1=small.algebra.zero(),
                  fiber1=[T.generator(n) for n in ("xc2", "y3", "yc1")])
 
     # a generator map that does not commute with d: d yc1 = xc2 goes to xt2;
@@ -401,6 +433,12 @@ def test_bad_quintuples_rejected_at_construction():
     for _ in range(2):
         with pytest.raises(MorphismError, match="does not commute with d"):
             _rebuilt(q, incl1=swapped)
+
+    # an inclusion into an independent rebuild of the total
+    other = btfold_quintuple().quintuple
+    assert other.total is not q.total
+    with pytest.raises(TwistError, match="share their target"):
+        _rebuilt(q, incl2=other.incl2)
 
     with pytest.raises(TwistError, match="not closed"):
         _rebuilt(q, a1=S.gen("y3"))  # d y3 = xc2*xt2
