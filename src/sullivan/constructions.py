@@ -3,7 +3,8 @@
 Central extensions by closed cocycles, fiber products of two extensions,
 fiber integration along a square-zero extension generator, the free loop
 algebra, cyclification, and the transpose across the homotopy-fiber /
-cyclification adjunction.
+cyclification adjunction.  Both directions of the transpose take the
+cyclification of the source, which the caller builds once.
 
 An extension appends its generators, so the base's generator ids are its
 first ids: an element goes in with its terms unchanged, and comes back
@@ -284,34 +285,28 @@ def y_free_part(element, gen) -> Element:
     return Element.from_terms(element.algebra, items)
 
 
-def adjunction_transpose(ext: CentralExtension, phi: Morphism) -> Morphism:
+def adjunction_transpose(ext: CentralExtension, cyc: Cyclification, phi: Morphism) -> Morphism:
     """Transpose phi: CE(h) -> CE(g^) to CE(cyc(h)) -> CE(g) over R[w2].
 
-    Requires the extension to be by a 2-cocycle.  Generator images:
-    h |-> y-free part of phi(h), restricted to the base; s h |-> minus the
-    fiber integral of phi(h); w2 |-> classifying cocycle.  The result is
-    verified, and a failure raises MorphismError."""
+    cyc is the cyclification of h, phi's source.  Requires the extension to
+    be by a 2-cocycle.  Generator images: h |-> y-free part of phi(h),
+    restricted to the base; s h |-> minus the fiber integral of phi(h);
+    w2 |-> classifying cocycle.  The result is verified, and a failure
+    raises MorphismError."""
     if ext.new_gen.degree != 1:
         raise ConstructionError("adjunction transpose needs an extension by a 2-cocycle")
     if phi.target is not ext.total:
         raise ConstructionError("morphism target must be the extension's total presentation")
+    if phi.source is not cyc.base:
+        raise ConstructionError("phi must be defined on the base of the given cyclification")
     phi.ensure_verified()
-    cyc = cyclify(phi.source)
     images = {}
     for g in phi.source.algebra.generators:
         img = phi.image_of(g)
         images[g.name] = ext.inclusion.restrict(y_free_part(img, ext.new_gen))
         images[cyc.shift_names[g.name]] = -fiber_integration(ext, img)
     images[cyc.cocycle_name] = ext.cocycle
-    return TransposedMorphism(cyc, ext.base, images).ensure_verified()
-
-
-class TransposedMorphism(Morphism):
-    """A morphism CE(cyc(h)) -> CE(g) remembering its cyclification."""
-
-    def __init__(self, cyc, target, images):
-        Morphism.__init__(self, cyc.presentation, target, images, name="transpose")
-        self.cyclification = cyc
+    return Morphism(cyc.presentation, ext.base, images, name="transpose").ensure_verified()
 
 
 def adjunction_transpose_inverse(ext: CentralExtension, cyc: Cyclification, psi: Morphism) -> Morphism:
@@ -369,8 +364,8 @@ def fiber_integration_via_cyclification(ext: CentralExtension, cocycle_morphism:
     if len(src.algebra.generators) != 1:
         raise ConstructionError("expected a morphism from a single-generator line")
     (xgen,) = src.algebra.generators
-    psi = adjunction_transpose(ext, cocycle_morphism)
-    cyc = psi.cyclification
+    cyc = cyclify(src)
+    psi = adjunction_transpose(ext, cyc, cocycle_morphism)
     shifted = cyc.shift_names[xgen.name]
     value = -psi.image_of(shifted)
     return cocycle_as_morphism(

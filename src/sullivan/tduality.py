@@ -186,7 +186,8 @@ def validate_config(base, c1, c2, h3) -> TDualityConfig:
 
     Raises ConfigError naming the failing check and carrying the residual."""
     for label, c in (("first", c1), ("second", c2)):
-        if c.bidegree() != (2, 0):
+        # zero is a closed class of every degree: the trivial circle bundle
+        if not c.is_zero() and c.bidegree() != (2, 0):
             raise ConfigError(f"not a degree-(2, even) class: {label}")
         residual = base.apply_d(c)
         if not residual.is_zero():

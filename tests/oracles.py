@@ -9,7 +9,9 @@ from fractions import Fraction
 
 from sullivan.algebra import Element, mul_monomials, transport
 from sullivan.constructions import strip_generator
+from sullivan.fields import QI
 from sullivan.linalg import kernel_basis, matrix_of, reduce_against, row_reduce
+from sullivan.superminkowski import _matmul
 from sullivan.twisted import TwistedCochain, _twisted_basis, twisted_d_raw
 
 
@@ -180,3 +182,23 @@ def gauge_series(b, cochain, cap):
                 comps[m - j] = comps[m - j] + term if m - j in comps else term
         result = result + TwistedCochain(pres, cochain.degree, comps)
     return result
+
+
+# the loop over all 528 index pairs that sullivan.superminkowski.bilinear
+# replaced by a walk over the nonzero entries of C M
+def bilinear(gd, algebra, M):
+    """(C M)_{alpha beta} psi^alpha psi^beta, one coefficient per pair
+    a <= b: (C M)_ab + (C M)_ba off the diagonal, (C M)_aa on it."""
+    CM = _matmul(gd.C, M)
+    psi_ids = [algebra.generator(f"psi{k}").id for k in range(1, 33)]
+    items = []
+    for a in range(32):
+        for b in range(a, 32):
+            coeff = CM.get((a, b), 0) + CM.get((b, a), 0) if a != b else CM.get((a, a), 0)
+            coeff = QI.coerce(coeff)
+            if not coeff:
+                continue
+            ia, ib = psi_ids[a], psi_ids[b]
+            mono = ((ia, 2),) if ia == ib else ((min(ia, ib), 1), (max(ia, ib), 1))
+            items.append((mono, coeff))
+    return Element.from_terms(algebra, items)

@@ -142,13 +142,14 @@ def test_criterion_05_adjunction_round_trip():
     ext = central_extension(bt, bt.algebra.gen("xc2"), name="yc1")
     a31 = ext.total.parse("y3 - yc1*xt2")
     phi = cocycle_as_morphism(ext.total, a31, gen_name="x3")
-    psi = adjunction_transpose(ext, phi)
+    cyc = cyclify(phi.source)
+    psi = adjunction_transpose(ext, cyc, phi)
     assert {k: str(v) for k, v in psi.images.items()} == {
         "x3": "y3",
         "sx3": "xt2",
         "w2": "xc2",
     }
-    back = adjunction_transpose_inverse(ext, psi.cyclification, psi)
+    back = adjunction_transpose_inverse(ext, cyc, psi)
     assert back.image_of("x3") == a31
 
     rng = random.Random(SEED)
@@ -171,10 +172,12 @@ def test_criterion_05_adjunction_round_trip():
         for e in basis:
             cocycle = cocycle + e.scale(Fraction(rng.randint(-3, 3)))
         phi = cocycle_as_morphism(ext.total, cocycle, degree=degree, gen_name="xS")
-        psi = adjunction_transpose(ext, phi)
-        back = adjunction_transpose_inverse(ext, psi.cyclification, psi)
+        cyc = cyclify(phi.source)
+        psi = adjunction_transpose(ext, cyc, phi)
+        back = adjunction_transpose_inverse(ext, cyc, psi)
         assert back.image_of("xS") == cocycle
-        assert adjunction_transpose(ext, back).images == psi.images
+        again = adjunction_transpose(ext, cyc, back)
+        assert again.source is psi.source and again.images == psi.images
         done += 1
     budget.done("T-fold instance + 50 randomized morphisms, both directions")
 

@@ -273,6 +273,15 @@ def test_tduality_invalid_config_exit_one(tmp_path):
     assert "dh3 mismatch" in r.stdout
 
 
+def test_tduality_zero_class_exit_zero(tmp_path):
+    # the trivial circle bundle: zero is a closed class of every degree
+    f = tmp_path / "btfold.alg"
+    f.write_text(dump_presentation(library_presentation("btfold")))
+    r = run_cli(["tduality", str(f), "--c1", "xc2", "--c2", "0", "--h3", "0", "verify"])
+    assert r.returncode == 0, r.stdout
+    assert "PASS  configuration valid" in r.stdout
+
+
 def test_hofib_command(tmp_path):
     f = tmp_path / "btfold.alg"
     f.write_text(dump_presentation(library_presentation("btfold")))

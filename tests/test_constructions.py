@@ -201,18 +201,28 @@ def test_adjunction_transpose_tfold_data(p1_setup):
     total = ext.total
     a31 = total.parse("y3 - yc1*xt2")
     phi = cocycle_as_morphism(total, a31, gen_name="x3")
-    psi = adjunction_transpose(ext, phi)
+    cyc = cyclify(phi.source)
+    psi = adjunction_transpose(ext, cyc, phi)
     images = {k: str(v) for k, v in psi.images.items()}
     assert images == {"x3": "y3", "sx3": "xt2", "w2": "xc2"}
     # reverse direction recovers a31
-    back = adjunction_transpose_inverse(ext, psi.cyclification, psi)
+    back = adjunction_transpose_inverse(ext, cyc, psi)
     assert back.image_of("x3") == a31
+
+
+def test_adjunction_transpose_refuses_another_cyclification(p1_setup):
+    bt, ext = p1_setup
+    phi = cocycle_as_morphism(ext.total, ext.total.parse("y3 - yc1*xt2"), gen_name="x3")
+    # the cyclification of an equal but separately built line is not phi's
+    other = cocycle_as_morphism(ext.total, ext.total.parse("y3 - yc1*xt2"), gen_name="x3")
+    with pytest.raises(ConstructionError, match="base of the given cyclification"):
+        adjunction_transpose(ext, cyclify(other.source), phi)
 
 
 def test_adjunction_zero_morphism(p1_setup):
     bt, ext = p1_setup
     phi = cocycle_as_morphism(ext.total, ext.total.algebra.zero(), degree=3, gen_name="x3")
-    psi = adjunction_transpose(ext, phi)
+    psi = adjunction_transpose(ext, cyclify(phi.source), phi)
     assert psi.image_of("x3").is_zero()
     assert psi.image_of("sx3").is_zero()
     assert psi.image_of("w2") == ext.cocycle
@@ -234,10 +244,12 @@ def test_adjunction_round_trip_randomized():
         for w, e in zip(weights, basis):
             cocycle = cocycle + e.scale(w)
         phi = cocycle_as_morphism(ext.total, cocycle, degree=degree, gen_name="xS")
-        psi = adjunction_transpose(ext, phi)
-        back = adjunction_transpose_inverse(ext, psi.cyclification, psi)
+        cyc = cyclify(phi.source)
+        psi = adjunction_transpose(ext, cyc, phi)
+        back = adjunction_transpose_inverse(ext, cyc, psi)
         assert back.image_of("xS") == cocycle
-        again = adjunction_transpose(ext, back)
+        again = adjunction_transpose(ext, cyc, back)
+        assert again.source is psi.source
         assert again.images == psi.images
         count += 1
 
@@ -351,8 +363,13 @@ def test_adjunction_round_trip_builds_and_verifies_each_morphism_once(monkeypatc
     phi = cocycle_as_morphism(ext.total, ext.total.parse("y3 - yc1*xt2"), gen_name="x3")
     verified = _recorded(monkeypatch, Morphism, "verify")
     built = _recorded(monkeypatch, Morphism, "__init__")
-    psi = adjunction_transpose(ext, phi)
-    back = adjunction_transpose_inverse(ext, psi.cyclification, psi)
-    again = adjunction_transpose(ext, back)
+    presentations = _recorded(monkeypatch, Presentation, "__init__")
+    cyc = cyclify(phi.source)
+    psi = adjunction_transpose(ext, cyc, phi)
+    back = adjunction_transpose_inverse(ext, cyc, psi)
+    again = adjunction_transpose(ext, cyc, back)
     assert built == [psi, back, again]
     assert verified == [phi, psi, back, again]
+    # the caller's cyclification is the only presentation the round trip builds
+    assert presentations == [cyc.presentation]
+    assert again.source is psi.source is cyc.presentation

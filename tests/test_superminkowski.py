@@ -1,6 +1,7 @@
 """Clifford data, psi-bilinears, super-Minkowski presentations, string
 cocycles, and the twisted-complex exchange between the two extensions."""
 
+import random
 import subprocess
 import sys
 
@@ -23,13 +24,13 @@ import oracles
 
 
 @pytest.fixture(scope="module")
-def gd() -> GammaData:
-    return build_gamma()
+def sm():
+    return build_superminkowski()
 
 
 @pytest.fixture(scope="module")
-def sm(gd):
-    return build_superminkowski(gd)
+def gd(sm) -> GammaData:
+    return sm.gamma_data
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,8 @@ def test_convention_report_recorded(gd):
     text = "\n".join(gd.report)
     assert "mostly-plus (eta_00 = -1): rejected" in text
     assert "mostly-minus (eta_00 = +1): accepted" in text
+    # the search order of the word family
+    assert "words = 111s 111e 11et 1est sett tett e1tt esst etst" in text
     assert "charge conjugation" in text
     assert "index lowering" in text
 
@@ -96,6 +99,73 @@ def test_bilinear_g9a_is_c2a(gd, sm):
     assert bilinear(gd, sm.base.algebra, gd.G9A) == sm.c2A
     assert bilinear_symmetry(gd, gd.G9A) == "symmetric"
     assert bilinear_symmetry(gd, gd.G9B) == "symmetric"
+
+
+def bilinear_matrices(gd):
+    """Every matrix M the module passes to bilinear, by name."""
+    ms = {f"Gamma^{a}": gd.Gamma[a] for a in range(9)}
+    ms.update({"G9A": gd.G9A, "G9B": gd.G9B})
+    ms.update({f"Gamma_{a} G10": _matmul(gd.Gamma_lower(a), gd.G10) for a in range(9)})
+    ms.update({"G9A G10": _matmul(gd.G9A, gd.G10), "G9B G10": _matmul(gd.G9B, gd.G10)})
+    return ms
+
+
+def signed_permutation(rng, signs):
+    perm = list(range(32))
+    rng.shuffle(perm)
+    return {(i, j): rng.choice(signs) for i, j in enumerate(perm)}
+
+
+def test_bilinear_matches_dense_oracle(gd, sm):
+    i = QI.imaginary_unit()
+    matrices = bilinear_matrices(gd)
+    matrices["identity"] = eye(32)
+    matrices["antisymmetric"] = _matmul(gd.C, {(0, 1): 1, (1, 0): -1})
+    rng = random.Random(20140901)
+    for n in range(10):
+        matrices[f"random {n}"] = signed_permutation(rng, [1, -1, i, -i])
+    for alg in (sm.base.algebra, sm.extA.total.algebra):
+        for name, M in matrices.items():
+            assert bilinear(gd, alg, M) == oracles.bilinear(gd, alg, M), name
+
+
+def test_block_forms(gd):
+    # Gamma^a = [[0, eta_a g_a], [eta_a g_a, 0]], G9A = [[0, I], [-I, 0]],
+    # G9B = [[0, I], [I, 0]], G10 = i [[I, 0], [0, -I]], entry by entry
+    i = QI.imaginary_unit()
+    for a in range(9):
+        up = {key: gd.eta[a] * v for key, v in gd.gamma[a].items()}
+        expected = {(r, c + 16): v for (r, c), v in up.items()}
+        expected.update({(r + 16, c): v for (r, c), v in up.items()})
+        assert gd.Gamma[a] == expected, a
+    assert gd.G9A == {**{(r, r + 16): 1 for r in range(16)}, **{(r + 16, r): -1 for r in range(16)}}
+    assert gd.G9B == {**{(r, r + 16): 1 for r in range(16)}, **{(r + 16, r): 1 for r in range(16)}}
+    assert gd.G10 == {(r, r): i if r < 16 else -i for r in range(32)}
+
+
+def test_every_bilinear_coefficient_matrix_is_symmetric(gd):
+    for name, M in bilinear_matrices(gd).items():
+        CM = dense(_matmul(gd.C, M), 32)
+        assert CM == [list(col) for col in zip(*CM)], name
+
+
+def test_verify_report_reports_what_build_gamma_checked(monkeypatch):
+    from sullivan import superminkowski
+
+    counts = {"_matmul": 0, "_verify_clifford": 0}
+    for name in counts:
+        original = getattr(superminkowski, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(superminkowski, name, counted)
+    rep = verify_report()
+    assert rep.passed, str(rep)
+    # build_gamma's own checks, each made once (186 products and 2 Clifford
+    # checks when the report re-ran them)
+    assert counts == {"_matmul": 93, "_verify_clifford": 1}
 
 
 def test_presentations_pass_d_squared(sm):

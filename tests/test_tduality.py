@@ -1,5 +1,7 @@
 """The T-fold presentation, configurations, derived quintuples, library."""
 
+import random
+
 import pytest
 
 from sullivan.constructions import ConstructionError
@@ -9,12 +11,14 @@ from sullivan.tduality import (
     ConfigError,
     btfold,
     btfold_quintuple,
+    derive_quintuple,
     library_presentation,
     line_model,
     phi1_isomorphism,
     sphere_model,
     validate_config,
 )
+from sullivan.twisted import fm_inverse, fm_transform, random_twisted_cochain
 
 import oracles
 
@@ -74,6 +78,32 @@ def test_validate_config_failures():
     with pytest.raises(ConfigError) as err2:
         validate_config(bt, a.gen("xc2").scale(2), a.gen("xt2"), a.gen("y3"))
     assert "dh3 mismatch" in str(err2.value)
+
+
+def test_validate_config_refuses_a_nonzero_class_of_the_wrong_degree():
+    bt = btfold()
+    a = bt.algebra
+    with pytest.raises(ConfigError, match=r"not a degree-\(2, even\) class: second"):
+        validate_config(bt, a.gen("xc2"), a.gen("y3"), a.zero())
+
+
+def test_zero_class_is_the_trivial_circle_bundle():
+    # zero is closed in every degree: c2 = 0 is the trivial bundle, whose
+    # circle generator et1 is closed
+    bt = btfold()
+    a = bt.algebra
+    cfg = validate_config(bt, a.gen("xc2"), a.zero(), a.zero())
+    q = derive_quintuple(cfg).quintuple
+    assert q.a1.is_zero()
+    assert q.a2 == q.side2.parse("-xc2*et1")
+    assert q.b == q.total.parse("ec1*et1")
+    rng = random.Random(20140901)
+    for _ in range(50):
+        k = rng.randint(0, 3)
+        w = random_twisted_cochain(rng, q.side1, k, 3)
+        assert fm_inverse(q, fm_transform(q, w)) == w
+        w2 = random_twisted_cochain(rng, q.side2, k, 3)
+        assert fm_transform(q, fm_inverse(q, w2)) == w2
 
 
 def test_validate_config_not_closed():
