@@ -45,7 +45,7 @@ print()
 
 # the 3-twist on the first extension corresponds, across the homotopy-fiber/
 # cyclification adjunction, to the isomorphism with the cyclified line
-phi = cocycle_as_morphism(p1, q.a1, gen_name="x3")
+phi = cocycle_as_morphism(p1, q.a1)
 psi = adjunction_transpose(ext1, cyclify(phi.source), phi)
 print("adjunction transpose of a_3_1:", {k: str(v) for k, v in psi.images.items()})
 fwd, bwd = phi1_isomorphism()

@@ -35,7 +35,6 @@ from .fields import FIELDS, QI, QQ, GaussianRational
 from .parsing import ParseError, format_element, parse_element
 from .tduality import (
     LIBRARY,
-    TDualityConfig,
     btfold,
     btfold_quintuple,
     contractible,

@@ -310,14 +310,6 @@ class Element:
         """Zero counts as homogeneous."""
         return not self.terms or self.bidegree() is not None
 
-    def homogeneous_parts(self):
-        """Split into (degree, parity) -> homogeneous Element."""
-        parts = {}
-        for m, c in self.terms.items():
-            key = (self.algebra.monomial_degree(m), self.algebra.monomial_parity(m))
-            parts.setdefault(key, {})[m] = c
-        return {k: Element(self.algebra, v) for k, v in sorted(parts.items())}
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_same_algebra(self, other):

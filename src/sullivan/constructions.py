@@ -4,7 +4,9 @@ Central extensions by closed cocycles, fiber products of two extensions,
 fiber integration along a square-zero extension generator, the free loop
 algebra, cyclification, and the transpose across the homotopy-fiber /
 cyclification adjunction.  Both directions of the transpose take the
-cyclification of the source, which the caller builds once.
+cyclification of the source, which the caller builds once.  A cocycle is
+its classifying map: `cocycle_as_morphism` returns the verified morphism
+from the line (R[x_n], 0), so the transpose does not check it again.
 
 An extension appends its generators, so the base's generator ids are its
 first ids: an element goes in with its terms unchanged, and comes back
@@ -330,25 +332,21 @@ def adjunction_transpose_inverse(ext: CentralExtension, cyc: Cyclification, psi:
     return Morphism(cyc.base, total, images, name="transpose inverse").ensure_verified()
 
 
-def cocycle_as_morphism(pres, element, degree=None, gen_name=None) -> Morphism:
-    """A closed degree-n element as a morphism (R[x_n], 0) -> CE(g)."""
-    if element.is_zero():
-        if not element.algebra is pres.algebra:
-            raise ConstructionError("element must live in the presentation")
-        if degree is None:
-            raise ConstructionError("degree required for the zero cocycle")
-        deg, par = degree, EVEN
-    else:
-        if not pres.is_cocycle(element):
-            raise ConstructionError("element is not closed")
-        deg, par = element.bidegree()
-        if degree is not None and degree != deg:
-            raise ConstructionError("given degree does not match the element")
-    if par != EVEN:
-        raise ConstructionError("cocycles valued in an abelian line must have even parity")
-    name = gen_name or f"x{deg}"
-    line = Presentation.build([(name, deg, EVEN)], {}, field=pres.algebra.field)
-    return Morphism(line, pres, {name: element}, name=f"cocycle {element}")
+def cocycle_as_morphism(pres, element, degree=None) -> Morphism:
+    """A closed even degree-n element as the verified morphism
+    (R[x_n], 0) -> CE(g) sending x_n to it.
+
+    n is read off the element; only a zero or inhomogeneous element needs
+    `degree`.  `Morphism.ensure_verified` is the one check: an element that
+    is not closed, not even or not of degree n raises MorphismError."""
+    if degree is None:
+        bideg = element.bidegree()
+        if bideg is None:
+            raise ConstructionError("degree required for a zero or inhomogeneous element")
+        degree = bideg[0]
+    name = f"x{degree}"
+    line = Presentation.build([(name, degree, EVEN)], {}, field=pres.algebra.field)
+    return Morphism(line, pres, {name: element}, name=f"cocycle {element}").ensure_verified()
 
 
 def fiber_integration_via_cyclification(ext: CentralExtension, cocycle_morphism: Morphism) -> Morphism:
@@ -368,6 +366,4 @@ def fiber_integration_via_cyclification(ext: CentralExtension, cocycle_morphism:
     psi = adjunction_transpose(ext, cyc, cocycle_morphism)
     shifted = cyc.shift_names[xgen.name]
     value = -psi.image_of(shifted)
-    return cocycle_as_morphism(
-        ext.base, value, degree=xgen.degree - 1, gen_name=f"x{xgen.degree - 1}"
-    )
+    return cocycle_as_morphism(ext.base, value, degree=xgen.degree - 1)

@@ -202,7 +202,10 @@ class Morphism:
     def verify(self):
         """None if degree/parity-preserving and d-commuting; else a counterexample.
 
-        The counterexample is a triple (generator, reason, residual)."""
+        Each generator in turn has the bidegree of its image checked, then
+        phi(d g) = d(phi g).  The counterexample is a triple (generator,
+        reason, residual), the residual of a commutation fault being
+        phi(d g) - d(phi g).  A pass is remembered."""
         for gen in self.source.algebra.generators:
             img = self._images[gen.id]
             if not img.is_zero():
@@ -211,11 +214,11 @@ class Morphism:
                     return (gen, "image not homogeneous", img)
                 if bideg != (gen.degree, gen.parity):
                     return (gen, "image has wrong bidegree", img)
-        for gen in self.source.algebra.generators:
             lhs = self.apply(self.source.d_of_generator(gen))
-            rhs = self.target.apply_d(self._images[gen.id])
+            rhs = self.target.apply_d(img)
             if lhs != rhs:
                 return (gen, "does not commute with d", lhs - rhs)
+        self._verified = True
         return None
 
     def ensure_verified(self):
@@ -228,7 +231,6 @@ class Morphism:
                 raise MorphismError(
                     f"morphism fails at {gen.name}: {reason}; residual = {residual}"
                 )
-            self._verified = True
         return self
 
     def then(self, other) -> "Morphism":
@@ -289,9 +291,6 @@ class CohomologyReport:
         self.representatives = representatives
         self.max_degree = len(representatives) - 1
         self.dims = [len(r) for r in representatives]
-
-    def dimension(self, degree):
-        return self.dims[degree]
 
     def lines(self):
         out = [f"cohomology window: degrees 0..{self.max_degree} (nothing claimed above)"]

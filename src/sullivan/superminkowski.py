@@ -288,14 +288,6 @@ def _require_real(element, what) -> Element:
     return element
 
 
-def bilinear_symmetry(gd: GammaData, M) -> str:
-    CM = _matmul(gd.C, M)
-    if _is_symmetric(CM):
-        return "symmetric"
-    anti = all(CM.get((j, i), 0) == -v for (i, j), v in CM.items())
-    return "antisymmetric" if anti else "mixed"
-
-
 class SuperMinkowski:
     """The base presentation and its two circle extensions.
 

@@ -4,8 +4,9 @@ Fourier-Mukai quintuples, and the reusable model library.
 A T-duality configuration on a presentation g is a pair of closed degree-2
 even classes c1, c2 together with a degree-3 even element h3 trivializing
 their product: d h3 = c1 * c2.  This is exactly a morphism from the T-fold
-presentation R[xc2, xt2, y3] (d y3 = xc2*xt2) into CE(g), and it induces the
-full quintuple
+presentation R[xc2, xt2, y3] (d y3 = xc2*xt2) into CE(g), and the engine
+holds it as one: `validate_config` returns that morphism, verified.  It
+induces the full quintuple
 
     a_{3,1} = h3 - e1 * c2,   a_{3,2} = h3 - c1 * e2,   b = e1 * e2
 
@@ -159,46 +160,34 @@ def phi1_isomorphism() -> tuple[Morphism, Morphism]:
 # ---------------------------------------------------------------------------
 
 
-class TDualityConfig:
-    """Validated (c1, c2, h3) with d h3 = c1 * c2 on a base presentation."""
+def validate_config(base, c1, c2, h3) -> Morphism:
+    """The configuration as the verified morphism btfold -> base sending
+    xc2, xt2, y3 to c1, c2, h3.
 
-    def __init__(self, base, c1, c2, h3):
-        self.base = base
-        self.c1 = c1
-        self.c2 = c2
-        self.h3 = h3
-
-    def as_morphism(self) -> Morphism:
-        """The configuration as a morphism from the T-fold presentation."""
-        return Morphism(
-            btfold(self.base.algebra.field),
-            self.base,
-            {"xc2": self.c1, "xt2": self.c2, "y3": self.h3},
-            name="tduality config",
-        ).ensure_verified()
-
-    def __repr__(self):
-        return f"<TDualityConfig c1={self.c1}, c2={self.c2}, h3={self.h3}>"
-
-
-def validate_config(base, c1, c2, h3) -> TDualityConfig:
-    """Check both closedness conditions and the trivialization d h3 = c1*c2.
-
-    Raises ConfigError naming the failing check and carrying the residual."""
-    for label, c in (("first", c1), ("second", c2)):
-        # zero is a closed class of every degree: the trivial circle bundle
-        if not c.is_zero() and c.bidegree() != (2, 0):
-            raise ConfigError(f"not a degree-(2, even) class: {label}")
-        residual = base.apply_d(c)
-        if not residual.is_zero():
-            raise ConfigError(f"not closed: {label} (d = {residual})")
-    if not h3.is_zero():
-        if h3.bidegree() != (3, 0):
-            raise ConfigError("h3 must have bidegree (3, even)")
-    residual = base.apply_d(h3) - c1 * c2
-    if not residual.is_zero():
-        raise ConfigError(f"dh3 mismatch: residual = {residual}")
-    return TDualityConfig(base, c1, c2, h3)
+    One `Morphism.verify` checks, in the order c1, c2, h3, the bidegree of
+    each and then that it commutes with d: closedness of c1 and c2, and
+    d h3 = c1*c2.  The first fault raises ConfigError naming the failing
+    check and carrying the residual."""
+    cfg = Morphism(
+        btfold(base.algebra.field),
+        base,
+        {"xc2": c1, "xt2": c2, "y3": h3},
+        name="tduality config",
+    )
+    bad = cfg.verify()
+    if bad is None:
+        return cfg
+    gen, reason, residual = bad
+    # verify reports phi(d g) - d(phi g); the messages carry its negative
+    commutes = reason == "does not commute with d"
+    if gen.name == "y3":
+        if commutes:
+            raise ConfigError(f"dh3 mismatch: residual = {-residual}")
+        raise ConfigError("h3 must have bidegree (3, even)")
+    label = "first" if gen.name == "xc2" else "second"
+    if commutes:
+        raise ConfigError(f"not closed: {label} (d = {-residual})")
+    raise ConfigError(f"not a degree-(2, even) class: {label}")
 
 
 class DerivedQuintuple:
@@ -209,18 +198,22 @@ class DerivedQuintuple:
         self.fiber_product = fiber_product
 
 
-def derive_quintuple(cfg: TDualityConfig, names=("ec1", "et1")) -> DerivedQuintuple:
-    """Build extensions, twists and kernel from a validated configuration.
+def derive_quintuple(cfg: Morphism, names=("ec1", "et1")) -> DerivedQuintuple:
+    """Build extensions, twists and kernel from a configuration morphism
+    btfold -> base, as `validate_config` returns it.
 
-    a_{3,1} = h3 - e1*c2 on the first extension, a_{3,2} = h3 - c1*e2 on the
-    second, b = e1*e2 on the fiber product; closedness of both twists and the
-    kernel relation are re-verified by the FMQuintuple constructor."""
-    fp = extension_fiber_product(cfg.base, cfg.c1, cfg.c2, names=names)
+    With c1, c2, h3 the images of xc2, xt2, y3: a_{3,1} = h3 - e1*c2 on the
+    first extension, a_{3,2} = h3 - c1*e2 on the second, b = e1*e2 on the
+    fiber product; closedness of both twists and the kernel relation are
+    re-verified by the FMQuintuple constructor."""
+    cfg.ensure_verified()
+    c1, c2, h3 = (cfg.image_of(g) for g in ("xc2", "xt2", "y3"))
+    fp = extension_fiber_product(cfg.target, c1, c2, names=names)
     ext1, ext2 = fp.ext1, fp.ext2
     e1 = ext1.total.algebra.gen(names[0])
     e2 = ext2.total.algebra.gen(names[1])
-    a31 = ext1.inclusion.apply(cfg.h3) - e1 * ext1.inclusion.apply(cfg.c2)
-    a32 = ext2.inclusion.apply(cfg.h3) - ext2.inclusion.apply(cfg.c1) * e2
+    a31 = ext1.inclusion.apply(h3) - e1 * ext1.inclusion.apply(c2)
+    a32 = ext2.inclusion.apply(h3) - ext2.inclusion.apply(c1) * e2
     b = fp.total.algebra.gen(names[0]) * fp.total.algebra.gen(names[1])
     q = FMQuintuple(
         incl1=fp.incl1, incl2=fp.incl2, fiber1=[fp.gen2], fiber2=[fp.gen1], a1=a31, a2=a32, b=b
@@ -229,7 +222,8 @@ def derive_quintuple(cfg: TDualityConfig, names=("ec1", "et1")) -> DerivedQuintu
 
 
 def btfold_quintuple() -> DerivedQuintuple:
-    """The universal quintuple: extensions of the T-fold presentation itself."""
+    """The universal quintuple: extensions of the T-fold presentation itself,
+    whose configuration is the identity of btfold."""
     bt = btfold()
     a = bt.algebra
     cfg = validate_config(bt, a.gen("xc2"), a.gen("xt2"), a.gen("y3"))

@@ -77,7 +77,7 @@ class TwistedCochain:
     def powers(self):
         return sorted(self.components)
 
-    def u_times(self, shift=1) -> "TwistedCochain":
+    def u_times(self, shift) -> "TwistedCochain":
         """Multiplication by u^shift: moves every component up by shift."""
         return TwistedCochain(
             self.presentation,
@@ -237,6 +237,7 @@ class FMQuintuple:
         self.a1 = a1
         self.a2 = a2
         self.b = b
+        self.inverse_sign = None  # fm_inverse's sign, set on its first call
         self.verify()
 
     def verify(self):
@@ -310,8 +311,21 @@ def fm_transform(q: FMQuintuple, cochain: TwistedCochain) -> TwistedCochain:
 
 
 def fm_inverse(q: FMQuintuple, cochain: TwistedCochain) -> TwistedCochain:
-    """u * Phi_{-b} in the reverse direction; inverse of fm_transform."""
-    return fm_transform(q.reversed(), cochain).u_times()
+    """s u^r Phi_{-b} in the reverse direction; inverse of fm_transform.
+
+    r = len(q.fiber1) restores the u-degree that the two fiber integrations
+    take, and the sign s = +-1 is their relative orientation: it is read off
+    the unit cochain on the first call for q and kept on q."""
+    rev = q.reversed()
+    r = len(q.fiber1)
+    if q.inverse_sign is None:
+        one = TwistedCochain(q.side1, 0, {0: q.side1.algebra.one()})
+        back = fm_transform(rev, fm_transform(q, one)).u_times(r)
+        if back not in (one, -one):
+            raise TwistError(f"u^{r} Phi_-b Phi_b is not +-1 on the unit cochain: {back}")
+        q.inverse_sign = 1 if back == one else -1
+    out = fm_transform(rev, cochain).u_times(r)
+    return out if q.inverse_sign > 0 else -out
 
 
 def compose_fm(q: FMQuintuple, qt: FMQuintuple) -> FMQuintuple:

@@ -141,7 +141,7 @@ def test_criterion_05_adjunction_round_trip():
     bt = library_presentation("btfold")
     ext = central_extension(bt, bt.algebra.gen("xc2"), name="yc1")
     a31 = ext.total.parse("y3 - yc1*xt2")
-    phi = cocycle_as_morphism(ext.total, a31, gen_name="x3")
+    phi = cocycle_as_morphism(ext.total, a31)
     cyc = cyclify(phi.source)
     psi = adjunction_transpose(ext, cyc, phi)
     assert {k: str(v) for k, v in psi.images.items()} == {
@@ -171,11 +171,11 @@ def test_criterion_05_adjunction_round_trip():
         cocycle = ext.total.algebra.zero()
         for e in basis:
             cocycle = cocycle + e.scale(Fraction(rng.randint(-3, 3)))
-        phi = cocycle_as_morphism(ext.total, cocycle, degree=degree, gen_name="xS")
+        phi = cocycle_as_morphism(ext.total, cocycle, degree=degree)
         cyc = cyclify(phi.source)
         psi = adjunction_transpose(ext, cyc, phi)
         back = adjunction_transpose_inverse(ext, cyc, psi)
-        assert back.image_of("xS") == cocycle
+        assert back.image_of(f"x{degree}") == cocycle
         again = adjunction_transpose(ext, cyc, back)
         assert again.source is psi.source and again.images == psi.images
         done += 1

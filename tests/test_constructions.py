@@ -22,7 +22,7 @@ from sullivan.constructions import (
     shifted_complex_d,
     strip_generator,
 )
-from sullivan.dgca import Morphism, Presentation, closed_basis
+from sullivan.dgca import Morphism, MorphismError, Presentation, closed_basis
 from sullivan.fields import QI, QQ
 from sullivan.tduality import btfold, btfold_quintuple, library_extensions, sphere_model
 
@@ -200,7 +200,7 @@ def test_adjunction_transpose_tfold_data(p1_setup):
     bt, ext = p1_setup
     total = ext.total
     a31 = total.parse("y3 - yc1*xt2")
-    phi = cocycle_as_morphism(total, a31, gen_name="x3")
+    phi = cocycle_as_morphism(total, a31)
     cyc = cyclify(phi.source)
     psi = adjunction_transpose(ext, cyc, phi)
     images = {k: str(v) for k, v in psi.images.items()}
@@ -212,16 +212,16 @@ def test_adjunction_transpose_tfold_data(p1_setup):
 
 def test_adjunction_transpose_refuses_another_cyclification(p1_setup):
     bt, ext = p1_setup
-    phi = cocycle_as_morphism(ext.total, ext.total.parse("y3 - yc1*xt2"), gen_name="x3")
+    phi = cocycle_as_morphism(ext.total, ext.total.parse("y3 - yc1*xt2"))
     # the cyclification of an equal but separately built line is not phi's
-    other = cocycle_as_morphism(ext.total, ext.total.parse("y3 - yc1*xt2"), gen_name="x3")
+    other = cocycle_as_morphism(ext.total, ext.total.parse("y3 - yc1*xt2"))
     with pytest.raises(ConstructionError, match="base of the given cyclification"):
         adjunction_transpose(ext, cyclify(other.source), phi)
 
 
 def test_adjunction_zero_morphism(p1_setup):
     bt, ext = p1_setup
-    phi = cocycle_as_morphism(ext.total, ext.total.algebra.zero(), degree=3, gen_name="x3")
+    phi = cocycle_as_morphism(ext.total, ext.total.algebra.zero(), degree=3)
     psi = adjunction_transpose(ext, cyclify(phi.source), phi)
     assert psi.image_of("x3").is_zero()
     assert psi.image_of("sx3").is_zero()
@@ -243,28 +243,42 @@ def test_adjunction_round_trip_randomized():
         cocycle = ext.total.algebra.zero()
         for w, e in zip(weights, basis):
             cocycle = cocycle + e.scale(w)
-        phi = cocycle_as_morphism(ext.total, cocycle, degree=degree, gen_name="xS")
+        phi = cocycle_as_morphism(ext.total, cocycle, degree=degree)
         cyc = cyclify(phi.source)
         psi = adjunction_transpose(ext, cyc, phi)
         back = adjunction_transpose_inverse(ext, cyc, psi)
-        assert back.image_of("xS") == cocycle
+        assert back.image_of(f"x{degree}") == cocycle
         again = adjunction_transpose(ext, cyc, back)
         assert again.source is psi.source
         assert again.images == psi.images
         count += 1
 
 
+def test_cocycle_as_morphism_is_checked_by_verify(p1_setup):
+    bt, ext = p1_setup
+    total = ext.total
+    with pytest.raises(MorphismError, match="fails at x3: does not commute with d"):
+        cocycle_as_morphism(total, total.parse("y3"))
+    odd = Presentation.build([("p2", 2, "odd")])
+    with pytest.raises(MorphismError, match="fails at x2: image has wrong bidegree"):
+        cocycle_as_morphism(odd, odd.parse("p2"))
+    with pytest.raises(MorphismError, match="fails at x4: image has wrong bidegree"):
+        cocycle_as_morphism(total, total.parse("xc2"), degree=4)
+    with pytest.raises(ConstructionError, match="degree required"):
+        cocycle_as_morphism(total, total.algebra.zero())
+
+
 def test_fiber_integration_via_cyclification_examples(p1_setup):
     bt, ext = p1_setup
     total = ext.total
     a31 = total.parse("y3 - yc1*xt2")
-    phi = cocycle_as_morphism(total, a31, gen_name="x3")
+    phi = cocycle_as_morphism(total, a31)
     via = fiber_integration_via_cyclification(ext, phi)
     (xg,) = via.source.algebra.generators
     assert via.image_of(xg.name) == fiber_integration(ext, a31) == bt.parse("-xt2")
 
     # y-free cocycle -> 0
-    phi0 = cocycle_as_morphism(total, total.parse("xc2"), gen_name="x2")
+    phi0 = cocycle_as_morphism(total, total.parse("xc2"))
     via0 = fiber_integration_via_cyclification(ext, phi0)
     (xg0,) = via0.source.algebra.generators
     assert via0.image_of(xg0.name).is_zero()
@@ -360,7 +374,7 @@ def test_extension_fiber_product_reuses_the_inclusion_of_its_total(monkeypatch):
 
 def test_adjunction_round_trip_builds_and_verifies_each_morphism_once(monkeypatch, p1_setup):
     bt, ext = p1_setup
-    phi = cocycle_as_morphism(ext.total, ext.total.parse("y3 - yc1*xt2"), gen_name="x3")
+    phi = cocycle_as_morphism(ext.total, ext.total.parse("y3 - yc1*xt2"))
     verified = _recorded(monkeypatch, Morphism, "verify")
     built = _recorded(monkeypatch, Morphism, "__init__")
     presentations = _recorded(monkeypatch, Presentation, "__init__")
@@ -369,7 +383,8 @@ def test_adjunction_round_trip_builds_and_verifies_each_morphism_once(monkeypatc
     back = adjunction_transpose_inverse(ext, cyc, psi)
     again = adjunction_transpose(ext, cyc, back)
     assert built == [psi, back, again]
-    assert verified == [phi, psi, back, again]
+    # phi was verified when cocycle_as_morphism built it
+    assert verified == [psi, back, again]
     # the caller's cyclification is the only presentation the round trip builds
     assert presentations == [cyc.presentation]
     assert again.source is psi.source is cyc.presentation

@@ -173,6 +173,15 @@ def test_morphism_phi1_and_counterexample():
     assert bad is not None and bad[0].name == "x3"
 
 
+def test_verify_names_the_first_failing_generator():
+    # x2 fails to commute with d and y4 has an image of the wrong bidegree:
+    # one pass over the generators reports x2, the earlier of the two
+    source = Presentation.build([("x2", 2, "even"), ("y4", 4, "even")])
+    target = Presentation.build([("t2", 2, "even"), ("t3", 3, "even")], {"t2": "t3"})
+    gen, reason, residual = Morphism(source, target, {"x2": "t2", "y4": "t3"}).verify()
+    assert (gen.name, reason, str(residual)) == ("x2", "does not commute with d", "-t3")
+
+
 def test_identity_morphism_verifies(ls4):
     assert identity_morphism(ls4).verify() is None
 

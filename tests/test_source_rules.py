@@ -58,7 +58,7 @@ def test_engine_errors_share_one_root():
 # count must equal MAX_DEFAULTED_PARAMETERS: when an option goes, the cap
 # falls with it in the same change, so a removed option does not come back
 # unnoticed.
-MAX_DEFAULTED_PARAMETERS = 25
+MAX_DEFAULTED_PARAMETERS = 23
 
 
 def _defaulted_parameters(tree):

@@ -10,9 +10,9 @@ import pytest
 from sullivan.fields import QI
 from sullivan.superminkowski import (
     GammaData,
+    _is_symmetric,
     _matmul,
     bilinear,
-    bilinear_symmetry,
     build_gamma,
     build_superminkowski,
     hori_pipeline,
@@ -78,6 +78,15 @@ def test_convention_report_recorded(gd):
     assert "words = 111s 111e 11et 1est sett tett e1tt esst etst" in text
     assert "charge conjugation" in text
     assert "index lowering" in text
+
+
+def bilinear_symmetry(gd, M):
+    """Whether C M is symmetric, antisymmetric or neither."""
+    CM = _matmul(gd.C, M)
+    if _is_symmetric(CM):
+        return "symmetric"
+    anti = all(CM.get((j, i), 0) == -v for (i, j), v in CM.items())
+    return "antisymmetric" if anti else "mixed"
 
 
 def test_bilinear_antisymmetric_matrix_gives_zero(gd, sm):

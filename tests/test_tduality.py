@@ -63,8 +63,7 @@ def test_validate_config_accepts_tfold_data():
     bt = btfold()
     a = bt.algebra
     cfg = validate_config(bt, a.gen("xc2"), a.gen("xt2"), a.gen("y3"))
-    morphism = cfg.as_morphism()
-    assert morphism.verify() is None
+    assert cfg.verify() is None
 
 
 def test_validate_config_failures():
@@ -104,6 +103,57 @@ def test_zero_class_is_the_trivial_circle_bundle():
         assert fm_inverse(q, fm_transform(q, w)) == w
         w2 = random_twisted_cochain(rng, q.side2, k, 3)
         assert fm_transform(q, fm_inverse(q, w2)) == w2
+
+
+def _config_base():
+    """Closed classes c2, k2 with d h3 = c2*k2, a non-closed a2 (d a2 = b3)."""
+    from sullivan.dgca import Presentation
+
+    return Presentation.build(
+        [("c2", 2, "even"), ("k2", 2, "even"), ("a2", 2, "even"), ("b3", 3, "even"),
+         ("h3", 3, "even")],
+        {"a2": "b3", "h3": "c2*k2"},
+    )
+
+
+CONFIG_FAULTS = [
+    # (c1, c2, h3) -> the ConfigError text
+    (("b3", "k2", "h3"), "not a degree-(2, even) class: first"),
+    (("c2 + b3", "k2", "h3"), "not a degree-(2, even) class: first"),
+    (("a2", "k2", "h3"), "not closed: first (d = b3)"),
+    (("c2", "b3", "h3"), "not a degree-(2, even) class: second"),
+    (("c2", "k2 + b3", "h3"), "not a degree-(2, even) class: second"),
+    (("c2", "a2", "h3"), "not closed: second (d = b3)"),
+    (("c2", "k2", "c2"), "h3 must have bidegree (3, even)"),
+    (("c2", "k2", "h3 + c2"), "h3 must have bidegree (3, even)"),
+    (("c2", "k2", "0"), "dh3 mismatch: residual = -c2*k2"),
+    (("c2", "k2", "b3"), "dh3 mismatch: residual = -c2*k2"),
+    # two faults: the first check to fail is reported
+    (("a2", "b3", "h3"), "not closed: first (d = b3)"),
+]
+
+
+@pytest.mark.parametrize("texts, message", CONFIG_FAULTS, ids=lambda v: str(v))
+def test_validate_config_reports_each_fault(texts, message):
+    pres = _config_base()
+    with pytest.raises(ConfigError) as err:
+        validate_config(pres, *(pres.parse(t) for t in texts))
+    assert str(err.value) == message
+
+
+def test_validate_config_verifies_the_config_morphism_once(monkeypatch):
+    from sullivan.dgca import Morphism
+
+    calls = []
+    verify = Morphism.verify
+    monkeypatch.setattr(Morphism, "verify", lambda self: calls.append(self) or verify(self))
+    pres = _config_base()
+    cfg = validate_config(pres, *(pres.parse(t) for t in ("c2", "k2", "h3")))
+    assert calls == [cfg]
+    assert cfg.source.same_structure(btfold()) and cfg.target is pres
+    # derive_quintuple verifies the two FM legs, not the configuration again
+    q = derive_quintuple(cfg).quintuple
+    assert calls == [cfg, q.incl1, q.incl2]
 
 
 def test_validate_config_not_closed():

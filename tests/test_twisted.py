@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sullivan import twisted
 from sullivan.constructions import central_extension, extension_fiber_product
 from sullivan.dgca import Morphism, MorphismError, Presentation, inclusion
 from sullivan.tduality import btfold, btfold_quintuple, library_presentation, sphere_model
@@ -220,6 +221,77 @@ def test_compose_equals_sequential(tfold_q):
         w = random_cochain(rng, q.side1, k)
         assert fm_transform(comp, w) == fm_transform(qr, fm_transform(q, w))
         assert fm_transform(comp, w) == w.u_times(-1)
+
+
+def _rank_two_tfold(fiber1, fiber2):
+    """The rank-2 T-fold: base x1, x2, xh1, xh2, y3 with d y3 = x1 xh1 + x2 xh2,
+    circles e1, e2 over x1, x2 on side 1 and f1, f2 over xh1, xh2 on side 2,
+    and b = e1 f1 + e2 f2; fiber1 and fiber2 name the integration orders."""
+    base = [("x1", 2, "even"), ("x2", 2, "even"), ("xh1", 2, "even"), ("xh2", 2, "even"),
+            ("y3", 3, "even")]
+    es = [("e1", 1, "even"), ("e2", 1, "even")]
+    fs = [("f1", 1, "even"), ("f2", 1, "even")]
+    d = {"y3": "x1*xh1 + x2*xh2"}
+    de = {"e1": "x1", "e2": "x2"}
+    df = {"f1": "xh1", "f2": "xh2"}
+    side1 = Presentation.build(base + es, {**d, **de})
+    side2 = Presentation.build(base + fs, {**d, **df})
+    total = Presentation.build(base + es + fs, {**d, **de, **df})
+    return FMQuintuple(
+        incl1=inclusion(side1, total),
+        incl2=inclusion(side2, total),
+        fiber1=[total.algebra.generator(n) for n in fiber1],
+        fiber2=[total.algebra.generator(n) for n in fiber2],
+        a1=side1.parse("y3 - e1*xh1 - e2*xh2"),
+        a2=side2.parse("y3 - x1*f1 - x2*f2"),
+        b=total.parse("e1*f1 + e2*f2"),
+    )
+
+
+def _rank_two_quintuples(tfold_q):
+    """The composite of the T-fold with its reverse, then the rank-2 T-fold
+    in its four fiber orders."""
+    return [compose_fm(tfold_q, tfold_q.reversed())] + [
+        _rank_two_tfold(f, e)
+        for f in (("f1", "f2"), ("f2", "f1"))
+        for e in (("e1", "e2"), ("e2", "e1"))
+    ]
+
+
+def test_fm_inverse_inverts_quintuples_of_rank_two(tfold_q):
+    rng = random.Random(59)
+    for q in _rank_two_quintuples(tfold_q):
+        for _ in range(20):
+            k = rng.randint(0, 5)
+            w = random_cochain(rng, q.side1, k, window=6)
+            assert fm_inverse(q, fm_transform(q, w)) == w, str(w)
+            w2 = random_cochain(rng, q.side2, k, window=6)
+            assert fm_transform(q, fm_inverse(q, w2)) == w2, str(w2)
+
+
+def test_fm_inverse_takes_its_sign_once_per_quintuple(tfold_q, monkeypatch):
+    # u^2 Phi_-b Phi_b is +-1 on the unit cochain; the sign is the relative
+    # orientation of the two fiber orders
+    signs = []
+    for q in _rank_two_quintuples(tfold_q):
+        one = TwistedCochain(q.side1, 0, {0: q.side1.algebra.one()})
+        back = fm_transform(q.reversed(), fm_transform(q, one)).u_times(2)
+        assert back in (one, -one)
+        signs.append(1 if back == one else -1)
+    assert signs == [1, -1, 1, 1, -1]
+    # fm_inverse reads the sign with two transforms on its first call only
+    calls = []
+    transform = twisted.fm_transform
+    monkeypatch.setattr(twisted, "fm_transform", lambda q, w: calls.append(q) or transform(q, w))
+    counts = []
+    for q in _rank_two_quintuples(tfold_q):
+        one = TwistedCochain(q.side2, 0, {0: q.side2.algebra.one()})
+        for _ in range(2):
+            before = len(calls)
+            fm_inverse(q, one)
+            counts.append(len(calls) - before)
+        assert q.inverse_sign == signs.pop(0)
+    assert counts == [3, 1] * 5
 
 
 def test_trivial_quintuple_is_fiber_integration():
